@@ -51,40 +51,3 @@ def test_bench_end_to_end_large(benchmark, method):
         generate_with_method, args=(method, dist, cfg),
         kwargs={"swap_iterations": 1}, rounds=3, iterations=1,
     )
-
-
-class TestFusedVsPhased:
-    """The fused arena+pool pipeline against the phased process path."""
-
-    @pytest.fixture(scope="class")
-    def pipeline_result(self):
-        from repro.bench.harness import pipeline_benchmark
-
-        return pipeline_benchmark(
-            dataset("as20"), dataset="as20", swap_iterations=1, threads=8, seed=5
-        )
-
-    def test_pipeline_report(self, pipeline_result):
-        print()
-        print(pipeline_result.render())
-        print(f"speedup fused vs phased: "
-              f"{pipeline_result.series['speedup_fused_vs_phased']:.2f}x")
-
-    def test_fused_not_slower(self, pipeline_result):
-        """The fused pipeline never pays more than the phased composition
-        (it deletes the O(m) table rebuild and the per-phase pool spawns);
-        allow 10% noise."""
-        assert pipeline_result.series["speedup_fused_vs_phased"] > 0.9
-
-    def test_bench_payload_complete(self, pipeline_result):
-        bench = pipeline_result.series["bench"]
-        assert bench["backend"] == "process"
-        assert bench["threads"] == 8
-        assert bench["workers"] >= 1
-        for mode in ("fused", "phased"):
-            assert bench[mode]["edges"] == bench["edges"]
-            assert bench[mode]["edges_per_s"] > 0
-            assert set(bench[mode]["phase_seconds"]) == {
-                "probabilities", "edge_generation", "swap",
-            }
-        assert bench["fused"]["fused"] and not bench["phased"]["fused"]

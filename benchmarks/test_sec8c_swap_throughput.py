@@ -8,14 +8,11 @@ dependence the paper's discussion describes), and it climbs back toward
 the paper's figure as the twin approaches real scale — asserted below.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from _workloads import dataset
 from repro.bench.experiments import sec8c
-from repro.bench.harness import compare_backends
 from repro.core.swap import SwapStats, swap_edges
 from repro.datasets.synthetic import deterministic_powerlaw
 from repro.generators.havel_hakimi import havel_hakimi_graph
@@ -69,48 +66,18 @@ def test_bench_single_swap_iteration(benchmark, config):
 
 @pytest.fixture(scope="module")
 def large_graph():
-    """A >=100k-edge power-law graph for the true-parallel comparison."""
+    """A >=100k-edge power-law graph for the contention measurement."""
     dist = deterministic_powerlaw(n=52000, d_avg=4.0, d_max=200, n_classes=30)
     g = havel_hakimi_graph(dist)
     assert g.m >= 100_000
     return g
 
 
-def test_process_backend_beats_serial_wall_clock(large_graph):
-    """Real worker processes against the shared-memory sharded table beat
-    the serial reference on a >=100k-edge graph with 4 workers.  (The
-    margin is generous: even without spare cores the per-shard vectorized
-    TestAndSet dominates the serial per-key loop.)"""
-    res = compare_backends(
-        large_graph, 2, threads=4, seed=0, backends=("serial", "process")
-    )
-    print()
-    print(res.render())
-    assert res.series["speedup_process_vs_serial"] > 2.0
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4, reason="needs >=4 cores for a fair multicore check"
-)
-def test_process_backend_competitive_with_vectorized_multicore(large_graph):
-    """With real cores available, the process engine's parallelism must
-    recoup its IPC overhead against the single-core vectorized engine."""
-    res = compare_backends(
-        large_graph, 2, threads=4, seed=0, backends=("vectorized", "process")
-    )
-    seconds = res.series["seconds"]
-    assert seconds["process"] < 3.0 * seconds["vectorized"]
-
-
-def test_process_backend_contention_is_rare(large_graph):
-    """Per-shard CAS failure rates stay low at scale (the paper's
-    "collisions are rather rare" claim, now measured per shard)."""
+def test_contention_is_rare(large_graph):
+    """CAS failure rates stay low at scale (the paper's "collisions are
+    rather rare" claim)."""
     stats = SwapStats()
-    swap_edges(
-        large_graph, 1,
-        ParallelConfig(threads=4, backend="process", seed=1),
-        stats=stats,
-    )
+    swap_edges(large_graph, 1, ParallelConfig(threads=4, seed=1), stats=stats)
     assert stats.table_attempts > 0
     assert stats.table_failures / stats.table_attempts < 0.2
 

@@ -65,7 +65,6 @@ EXPERIMENTS = {
     "fig6": experiments.fig6,
     "sec8c": experiments.sec8c,
     "scaling": experiments.scaling,
-    "pipeline": experiments.pipeline,
     "suite": experiments.suite,
     "scale": experiments.scale,
     "lfr": experiments.lfr_experiment,
@@ -83,11 +82,11 @@ def _reap_dry_run(checkpoint_dir: str | None) -> int:
     """Print what the startup reap *would* collect, deleting nothing."""
     entries: list[dict] = []
     try:
-        from repro.parallel.shm import report_stale
+        from repro.core.storage import report_stale_spill
 
-        entries.extend(report_stale())
+        entries.extend(report_stale_spill())
     except Exception as exc:
-        print(f"shared-memory sweep failed: {exc}", file=sys.stderr)
+        print(f"spill sweep failed: {exc}", file=sys.stderr)
     if checkpoint_dir:
         try:
             from repro.core.checkpoint import report_stale_checkpoints
@@ -149,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--reap-dry-run",
         action="store_true",
-        help="report the stale artifacts (shared-memory segments, spill "
-        "files, checkpoint tmp files) the startup reap would collect — "
+        help="report the stale artifacts (spill files, checkpoint tmp "
+        "files) the startup reap would collect — "
         "paths, owner pids, ages, sizes — then exit without deleting "
         "anything or running experiments",
     )
@@ -161,15 +160,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.reap_dry_run:
         return _reap_dry_run(args.checkpoint_dir)
 
-    # collect shared-memory segments stranded by earlier crashed runs
-    # before the process-backend experiments allocate fresh ones
+    # collect spill files stranded by earlier crashed runs before the
+    # experiments allocate fresh ones
     try:
-        from repro.parallel.shm import reap_stale
+        from repro.core.storage import reap_stale_spill
 
-        reaped = reap_stale()
+        reaped = reap_stale_spill()
         if reaped:
             print(
-                f"reaped {len(reaped)} stale shared-memory segment(s)",
+                f"reaped {len(reaped)} stale spill file(s)",
                 file=sys.stderr,
             )
     except Exception:

@@ -20,7 +20,6 @@ from repro.bench.harness import (
     GENERATORS,
     Timer,
     generate_with_method,
-    pipeline_benchmark,
     suite_benchmark,
     uniform_reference,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "fig6",
     "sec8c",
     "scaling",
-    "pipeline",
     "suite",
     "scale",
     "lfr_experiment",
@@ -350,22 +348,6 @@ def fig6(
     return result
 
 
-def pipeline(
-    dataset: str = "as20",
-    *,
-    swap_iterations: int = 1,
-    threads: int = 8,
-    seed: int = 5,
-    scale: float | None = None,
-) -> ExperimentResult:
-    """Fused vs phased process pipeline on the fig5 workload (BENCH_pipeline.json)."""
-    dist = SPECS[dataset].synthesize(scale)
-    return pipeline_benchmark(
-        dist, dataset=dataset, swap_iterations=swap_iterations,
-        threads=threads, seed=seed,
-    )
-
-
 def suite(
     datasets: tuple[str, ...] = ("Meso", "as20", "WikiTalk"),
     *,
@@ -374,7 +356,7 @@ def suite(
     seed: int = 5,
     scale: float | None = None,
 ) -> ExperimentResult:
-    """Tracked perf suite: datasets × backends × autotune (BENCH_suite.json)."""
+    """Tracked perf suite: one generate_graph cell per dataset (BENCH_suite.json)."""
     dists = {name: SPECS[name].synthesize(scale) for name in datasets}
     return suite_benchmark(
         dists, swap_iterations=swap_iterations, threads=threads, seed=seed,
@@ -665,9 +647,9 @@ def observe(
     mixing_every: int = 2,
     scale: float | None = None,
 ) -> ExperimentResult:
-    """Traced fused run: span/report timing agreement + mixing curve.
+    """Traced run: span/report timing agreement + mixing curve.
 
-    Runs the process-backend pipeline inside a fresh
+    Runs the pipeline inside a fresh
     :class:`~repro.obs.RunTrace` (mirrored to ``trace_path`` when given,
     e.g. via ``repro-experiments observe --trace run.jsonl``), then
     cross-checks the observability layer against the report: per-phase
@@ -677,7 +659,7 @@ def observe(
     """
     from repro.obs import RunTrace
 
-    config = ParallelConfig(threads=threads, backend="process", seed=seed)
+    config = ParallelConfig(threads=threads, seed=seed)
     dist = SPECS[dataset].synthesize(scale)
     with RunTrace(trace_path) as tr:
         graph, report = generate_graph(
@@ -688,11 +670,10 @@ def observe(
         events = tr.events()
     result = ExperimentResult(
         name="observe",
-        description=f"traced fused generation run ({dataset} twin)",
+        description=f"traced generation run ({dataset} twin)",
         columns=["metric", "value"],
     )
     result.add("edges", int(graph.m))
-    result.add("fused", bool(report.fused))
     result.add("span_records", len(spans))
     result.add("event_records", len(events))
     for phase, seconds in report.phase_seconds.items():
@@ -718,7 +699,7 @@ def observe(
             "assortativity_drift",
             float(traj.assortativity()[-1] - traj.assortativity()[0]),
         )
-    for counter in ("swap.rounds", "swap.accepted", "pool.spawns", "pool.respawns"):
+    for counter in ("swap.rounds", "swap.accepted"):
         result.add(counter, tr.metrics.counters.get(counter, 0.0))
     result.series = {
         "trajectory": traj.to_dict() if traj is not None else None,
@@ -757,7 +738,7 @@ def serve(
         {"benchmark": "serve", "schema": 1, "dataset": d, "workers": w,
          "threads": p, "load": {requests, completed, p50_ms, p90_ms,
          p99_ms, throughput_rps, outcomes}, "broker": {runs, cache,
-         counters, breaker_level}, "drain": {...}}
+         counters}, "drain": {...}}
     """
     import asyncio
 
@@ -805,7 +786,6 @@ def serve(
     for tag, count in load["outcomes"].items():
         result.add(f"outcome_{tag}", count)
     result.add("cache_hits", snapshot["cache"]["hits"])
-    result.add("breaker_level", snapshot["breaker_level"])
     result.series["bench"] = {
         "benchmark": "serve",
         "schema": 1,
@@ -822,8 +802,6 @@ def serve(
         "load": load,
         "broker": {
             "runs": snapshot["runs"],
-            "breaker_level": snapshot["breaker_level"],
-            "breaker_trips": snapshot["breaker_trips"],
             "cache": snapshot["cache"],
             "counters": snapshot["counters"],
         },

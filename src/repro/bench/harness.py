@@ -24,7 +24,6 @@ __all__ = [
     "generate_with_method",
     "uniform_reference",
     "compare_backends",
-    "pipeline_benchmark",
     "suite_benchmark",
 ]
 
@@ -136,7 +135,7 @@ def compare_backends(
     *,
     threads: int = 4,
     seed: int = 0,
-    backends: tuple[str, ...] = ("serial", "vectorized", "process"),
+    backends: tuple[str, ...] = ("serial", "vectorized"),
     space: str = "simple",
 ) -> ExperimentResult:
     """Run :func:`swap_edges` under each backend and tabulate the results.
@@ -144,9 +143,8 @@ def compare_backends(
     All backends see the same seed, so degree sequences and (by the
     TestAndSet membership-semantics argument in ``docs/parallel-model.md``)
     the output graphs themselves are identical — what differs is
-    wall-clock and the contention accounting.  ``series`` carries the
-    per-backend seconds plus ``"speedup_process_vs_serial"`` when both
-    backends ran.
+    wall-clock and the contention accounting.  ``series["seconds"]``
+    carries the per-backend seconds.
     """
     result = ExperimentResult(
         name="backend-comparison",
@@ -175,202 +173,74 @@ def compare_backends(
                 f"backend {backend!r} diverged from {backends[0]!r}"
             )
     result.series["seconds"] = seconds
-    if "process" in seconds and "serial" in seconds and seconds["process"] > 0:
-        result.series["speedup_process_vs_serial"] = (
-            seconds["serial"] / seconds["process"]
-        )
-    return result
-
-
-def pipeline_benchmark(
-    dist: DegreeDistribution,
-    *,
-    dataset: str = "synthetic",
-    swap_iterations: int = 1,
-    threads: int = 8,
-    seed: int = 5,
-    warmup: bool = True,
-) -> ExperimentResult:
-    """Fused vs phased end-to-end pipeline under ``backend="process"``.
-
-    Runs :func:`~repro.core.generate.generate_graph` twice with the same
-    seed — once through the fused arena+pool pipeline, once through the
-    phased composition — verifies the outputs are bitwise-identical, and
-    tabulates per-phase wall seconds and edge throughput.  ``series["bench"]``
-    carries the machine-readable payload the CLI dumps as
-    ``BENCH_pipeline.json`` (the repo's perf-trajectory record).
-    """
-    from repro.parallel.mp_backend import available_workers
-
-    config = ParallelConfig(threads=threads, backend="process", seed=seed)
-    if warmup:
-        # fork + import costs land on a throwaway run, not the measurement
-        generate_graph(dist, swap_iterations=min(swap_iterations, 1), config=config)
-        generate_graph(
-            dist, swap_iterations=min(swap_iterations, 1), config=config,
-            pipeline=False,
-        )
-
-    runs: dict[str, dict] = {}
-    outputs = {}
-    for mode, pipeline in (("fused", True), ("phased", False)):
-        with Timer() as t:
-            out, report = generate_graph(
-                dist, swap_iterations=swap_iterations, config=config,
-                pipeline=pipeline,
-            )
-        outputs[mode] = out
-        total = t.seconds
-        runs[mode] = {
-            "total_seconds": total,
-            "phase_seconds": dict(report.phase_seconds),
-            "edges": int(report.edges_generated),
-            "edges_per_s": report.edges_generated / total if total > 0 else 0.0,
-            "fused": bool(report.fused),
-        }
-    if not np.array_equal(outputs["fused"].u, outputs["phased"].u) or not np.array_equal(
-        outputs["fused"].v, outputs["phased"].v
-    ):
-        raise AssertionError("fused pipeline diverged from the phased composition")
-
-    result = ExperimentResult(
-        name="pipeline",
-        description=(
-            f"fused vs phased end-to-end pipeline, {dataset}, "
-            f"p={threads}, {swap_iterations} swap iteration(s)"
-        ),
-        columns=["mode", "seconds", "probabilities", "edge_generation", "swap",
-                 "edges", "edges_per_s"],
-    )
-    for mode in ("fused", "phased"):
-        r = runs[mode]
-        result.add(
-            mode, r["total_seconds"],
-            r["phase_seconds"].get("probabilities", 0.0),
-            r["phase_seconds"].get("edge_generation", 0.0),
-            r["phase_seconds"].get("swap", 0.0),
-            r["edges"], r["edges_per_s"],
-        )
-    speedup = (
-        runs["phased"]["total_seconds"] / runs["fused"]["total_seconds"]
-        if runs["fused"]["total_seconds"] > 0
-        else float("inf")
-    )
-    result.series["bench"] = {
-        "benchmark": "pipeline",
-        "dataset": dataset,
-        "backend": "process",
-        "threads": threads,
-        "workers": available_workers(threads),
-        "swap_iterations": swap_iterations,
-        "seed": seed,
-        "edges": runs["fused"]["edges"],
-        "fused": runs["fused"],
-        "phased": runs["phased"],
-        "speedup_fused_vs_phased": speedup,
-    }
-    result.series["speedup_fused_vs_phased"] = speedup
     return result
 
 
 #: the BENCH_suite.json layout version (bump on breaking payload changes)
-SUITE_SCHEMA = 1
+SUITE_SCHEMA = 2
 
 
 def suite_benchmark(
     dists: dict[str, DegreeDistribution],
     *,
-    backends: tuple[str, ...] = ("vectorized", "process"),
-    autotune_modes: tuple[bool, ...] = (False, True),
     swap_iterations: int = 1,
     threads: int = 8,
     seed: int = 5,
     warmup: bool = True,
 ) -> ExperimentResult:
-    """The tracked performance suite: datasets × backends × autotune.
+    """The tracked performance suite: one cell per dataset.
 
     Runs the full :func:`~repro.core.generate.generate_graph` pipeline
-    for every combination, records per-phase wall seconds and edge
-    throughput, and asserts that within a (dataset, backend) pair every
-    autotune mode produces the *same graph* — autotune is an execution
-    choice, never a result choice, so a divergence here is a correctness
-    bug, not a perf regression.  (Backends are *not* compared to each
-    other: generation's space splitting is backend-dependent, so their
-    RNG streams — and thus their equally-valid samples — differ.)
+    on the default vectorized backend for every dataset and records
+    per-phase wall seconds and edge throughput.
 
     ``series["bench"]`` carries the machine-readable payload the CLI
     writes as ``BENCH_suite.json``; the committed copy at the repo root
     is the baseline the perf-regression gate
     (``tests/bench/test_perf_regression.py``) compares against.  Layout
-    (``SUITE_SCHEMA`` = 1)::
+    (``SUITE_SCHEMA`` = 2)::
 
-        {"benchmark": "suite", "schema": 1, "threads": p, "workers": w,
+        {"benchmark": "suite", "schema": 2, "threads": p,
          "swap_iterations": k, "seed": s,
-         "entries": [{"dataset", "backend", "autotune", "edges",
-                      "total_seconds", "phase_seconds": {phase: sec},
-                      "edges_per_s"}, ...]}
+         "entries": [{"dataset", "backend", "edges", "total_seconds",
+                      "phase_seconds": {phase: sec}, "edges_per_s"}, ...]}
     """
-    from repro.parallel.mp_backend import available_workers
-
     entries: list[dict] = []
     result = ExperimentResult(
         name="suite",
         description=(
-            f"performance suite: {len(dists)} dataset(s) × {len(backends)} "
-            f"backend(s) × autotune off/on, p={threads}, "
+            f"performance suite: {len(dists)} dataset(s), p={threads}, "
             f"{swap_iterations} swap iteration(s)"
         ),
-        columns=["dataset", "backend", "autotune", "seconds", "edges",
-                 "edges_per_s"],
+        columns=["dataset", "backend", "seconds", "edges", "edges_per_s"],
     )
+    config = ParallelConfig(threads=threads, seed=seed)
     for dataset, dist in dists.items():
-        for backend in backends:
-            reference = None
-            for autotune in autotune_modes:
-                config = ParallelConfig(
-                    threads=threads, backend=backend, seed=seed,
-                    autotune=autotune,
-                )
-                if warmup:
-                    generate_graph(
-                        dist, swap_iterations=min(swap_iterations, 1),
-                        config=config,
-                    )
-                with Timer() as t:
-                    out, report = generate_graph(
-                        dist, swap_iterations=swap_iterations, config=config
-                    )
-                if reference is None:
-                    reference = out
-                elif not np.array_equal(out.u, reference.u) or not np.array_equal(
-                    out.v, reference.v
-                ):
-                    raise AssertionError(
-                        f"{dataset}: {backend}/autotune={autotune} diverged "
-                        "from the reference variant"
-                    )
-                total = t.seconds
-                entry = {
-                    "dataset": dataset,
-                    "backend": backend,
-                    "autotune": bool(autotune),
-                    "edges": int(report.edges_generated),
-                    "total_seconds": total,
-                    "phase_seconds": dict(report.phase_seconds),
-                    "edges_per_s": (
-                        report.edges_generated / total if total > 0 else 0.0
-                    ),
-                }
-                entries.append(entry)
-                result.add(
-                    dataset, backend, bool(autotune), total,
-                    entry["edges"], entry["edges_per_s"],
-                )
+        if warmup:
+            generate_graph(
+                dist, swap_iterations=min(swap_iterations, 1), config=config
+            )
+        with Timer() as t:
+            _, report = generate_graph(
+                dist, swap_iterations=swap_iterations, config=config
+            )
+        total = t.seconds
+        entry = {
+            "dataset": dataset,
+            "backend": config.backend,
+            "edges": int(report.edges_generated),
+            "total_seconds": total,
+            "phase_seconds": dict(report.phase_seconds),
+            "edges_per_s": report.edges_generated / total if total > 0 else 0.0,
+        }
+        entries.append(entry)
+        result.add(
+            dataset, config.backend, total, entry["edges"], entry["edges_per_s"]
+        )
     result.series["bench"] = {
         "benchmark": "suite",
         "schema": SUITE_SCHEMA,
         "threads": threads,
-        "workers": available_workers(threads),
         "swap_iterations": swap_iterations,
         "seed": seed,
         "entries": entries,

@@ -15,7 +15,7 @@ Snapshots are taken only at *reconstructible* boundaries:
 - ``swap_edges`` snapshots at permutation-round boundaries, where the
   concurrent hash table is a pure function of the edge array (every
   iteration begins with ``clear()`` + re-registration), so no
-  shared-memory state ever needs serializing;
+  hash-table state ever needs serializing;
 - ``generate_graph`` additionally snapshots at phase boundaries
   (probabilities → edges → swap) and marks the run ``done`` at the end.
 
@@ -29,8 +29,8 @@ parses, its format version matches, and the payload's checksum verifies
 snapshot is used instead (the store retains the last few).
 
 Stale artifacts are collected with the same pid-stamping pattern as
-:func:`repro.parallel.shm.reap_stale`: temporaries name their writer's
-pid and are removed once that pid is gone, and stores whose run reached
+:func:`repro.core.storage.reap_stale_spill`: temporaries name their
+writer's pid and are removed once that pid is gone, and stores whose run reached
 ``done`` under a now-dead owner are reaped wholesale by
 :func:`reap_stale_checkpoints` (wired into the bench CLI).
 """
@@ -49,9 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.storage import _pid_alive
 from repro.obs import trace as obs_trace
 from repro.parallel import faultinject
-from repro.parallel.shm import _pid_alive
 
 __all__ = [
     "FORMAT_VERSION",
@@ -102,10 +102,10 @@ def run_fingerprint(**fields) -> str:
     Callers pass the fields that pin down the run's *output* — input
     digest, seed, logical thread count, iteration budget, null-model
     space — and get a stable hex digest.  Execution details that do not
-    change the output (backend, OS process count, shard count, fault
-    plans) must be left out: resuming a ``process``-backend checkpoint on
-    the ``vectorized`` backend is explicitly supported, because all
-    backends are bitwise-identical.
+    change the output (backend, fault plans) must be left out: resuming a
+    ``serial``-backend swap checkpoint on the ``vectorized`` backend is
+    explicitly supported, because both swap engines are
+    bitwise-identical.
     """
     payload = json.dumps(
         {k: fields[k] for k in sorted(fields)},
@@ -605,7 +605,7 @@ def as_store(source) -> CheckpointStore | None:
 def reap_stale_checkpoints(root) -> list[str]:
     """Collect checkpoint artifacts whose owning run is over.
 
-    The pid-stamping pattern of :func:`repro.parallel.shm.reap_stale`
+    The pid-stamping pattern of :func:`repro.core.storage.reap_stale_spill`
     applied to the checkpoint tree rooted at ``root`` (a store directory
     or a directory of store directories):
 

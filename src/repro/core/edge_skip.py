@@ -15,11 +15,9 @@ when i = j, so a simple graph is guaranteed by construction — each vertex
 pair is considered exactly once.  Offsets within a space map to global
 vertex ids through the prefix sums ``I`` of the class counts.
 
-Parallelization is over spaces (each thread takes a contiguous chunk of
-the flattened class-pair list, ``backend="process"`` runs chunks in
-worker processes), matching the paper's ``for k = 1 … |D|×|D| do in
-parallel``.  The vectorized engine additionally batches the long tail of
-small spaces through a round-synchronous sampler: every active space
+Parallelization is over spaces, matching the paper's ``for k = 1 …
+|D|×|D| do in parallel``.  The vectorized engine batches the long tail
+of small spaces through a round-synchronous sampler: every active space
 advances one skip per round, which performs the same total work
 Σ(count_s + 1) as per-space loops but in O(max_s count_s) numpy rounds.
 """
@@ -31,9 +29,8 @@ import numpy as np
 from repro.graph.degree import DegreeDistribution
 from repro.graph.edgelist import EdgeList
 from repro.parallel.cost_model import CostModel
-from repro.parallel.mp_backend import process_chunk_map
-from repro.parallel.rng import generator_from_seed, spawn_generators
-from repro.parallel.runtime import ParallelConfig, chunk_bounds
+from repro.parallel.rng import generator_from_seed
+from repro.parallel.runtime import ParallelConfig
 
 __all__ = [
     "skip_positions",
@@ -41,8 +38,6 @@ __all__ = [
     "triangle_unrank",
     "sample_spaces",
     "split_spaces",
-    "prepare_spaces",
-    "fused_chunk_sample",
 ]
 
 #: spaces whose expected selection count exceeds this are sampled with the
@@ -291,108 +286,6 @@ def sample_spaces(
     return idx[ids], pos, skips
 
 
-def _chunk_kernel(
-    lo: int,
-    hi: int,
-    seed: int,
-    i_cls: np.ndarray,
-    j_cls: np.ndarray,
-    p: np.ndarray,
-    end: np.ndarray,
-    base: np.ndarray,
-    offsets: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Process-backend kernel: sample spaces [lo, hi), return (k, 2) edges."""
-    u, v = _chunk_sample(
-        lo, hi, seed, i_cls, j_cls, p, end, base, offsets, counts
-    )
-    return np.stack([u, v], axis=1)
-
-
-def _chunk_sample(
-    lo, hi, seed, i_cls, j_cls, p, end, base, offsets, counts
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample spaces [lo, hi); returns contiguous 1-D endpoint arrays.
-
-    Shared by :func:`_chunk_kernel` (which stacks the pair layout) and
-    :func:`fused_chunk_sample` (which packs keys straight from the
-    contiguous endpoints before stacking — one pass over cache-friendly
-    1-D arrays instead of strided columns of the ``(k, 2)`` matrix).
-    """
-    sub = {
-        "i": i_cls[lo:hi],
-        "j": j_cls[lo:hi],
-        "p": p[lo:hi],
-        "end": end[lo:hi],
-        "base": base[lo:hi],
-    }
-    rng = np.random.default_rng(seed)
-    ids, pos, _ = _sample_spaces(sub, rng)
-    return _positions_to_edges(ids, pos, sub, offsets, counts)
-
-
-def prepare_spaces(
-    P: np.ndarray,
-    dist: DegreeDistribution,
-    config: ParallelConfig,
-    max_space_size: int | None = None,
-) -> dict[str, np.ndarray]:
-    """The exact space table :func:`generate_edges` samples.
-
-    Shared by the phased path and the fused pipeline so both walk
-    identical (space, probability, extent) descriptors: for the process
-    backend, spaces are split so no single space dominates one worker.
-    """
-    table = _space_table(np.asarray(P, dtype=np.float64), dist)
-    if max_space_size is None and config.backend == "process":
-        # balance chunks: no single space should dominate one worker
-        total = int(table["end"].sum())
-        if total:
-            max_space_size = max(total // (4 * config.threads), 1024)
-    if max_space_size is not None:
-        table = split_spaces(table, max_space_size)
-    return table
-
-
-def fused_chunk_sample(
-    lo: int,
-    hi: int,
-    seed: int,
-    ctx: dict,
-    n_shards: int,
-    n_owners: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused-pipeline chunk kernel: edges plus owner-grouped packed keys.
-
-    Runs :func:`_chunk_sample` over spaces ``[lo, hi)`` of the prepared
-    table in ``ctx`` and additionally packs each edge into its canonical
-    64-bit key and groups the keys by owning pipeline worker
-    (``shard % n_owners``, with the table geometry precomputed via
-    :func:`~repro.parallel.hashtable.effective_shard_count` — the table
-    itself does not exist yet while generation runs).  The grouping sort
-    is stable, so each owner's keys stay in edge order; concatenating an
-    owner's groups chunk-by-chunk later reproduces the per-shard key
-    sequences of a whole-batch registration exactly.
-
-    Returns ``(pairs, keys_by_owner, owner_counts)`` where ``pairs`` is
-    the ``(k, 2)`` edge array in kernel order.
-    """
-    from repro.parallel.hashtable import pack_edges, shard_of_keys
-
-    u, v = _chunk_sample(
-        lo, hi, seed,
-        ctx["i"], ctx["j"], ctx["p"], ctx["end"], ctx["base"],
-        ctx["offsets"], ctx["counts"],
-    )
-    keys = pack_edges(u, v)
-    pairs = np.stack([u, v], axis=1)
-    owner = shard_of_keys(keys, n_shards) % n_owners
-    order = np.argsort(owner, kind="stable")
-    owner_counts = np.bincount(owner, minlength=n_owners).astype(np.int64)
-    return pairs, keys[order], owner_counts
-
-
 def generate_edges(
     P: np.ndarray,
     dist: DegreeDistribution,
@@ -417,17 +310,16 @@ def generate_edges(
     max_space_size:
         Split sample spaces larger than this into independent segments
         (the paper's within-space parallelization; provably equivalent).
-        Defaults to no splitting for the vectorized/serial backends and
-        to a load-balancing split for ``backend="process"``.
+        Defaults to no splitting.
     store:
         Optional :class:`repro.core.storage.BackingStore` receiving the
-        edge endpoint arrays.  With an mmap store, the process/serial
-        paths *stream* each chunk (or sample space) straight to the
-        spill files instead of materializing per-chunk lists — the full
-        edge arrays are never resident.  The vectorized path still
-        materializes its sample once (one whole-array kernel) and then
-        copies it into the store windowed.  Edge values are identical
-        with or without a store.
+        edge endpoint arrays.  With an mmap store, the serial path
+        *streams* each sample space straight to the spill files instead
+        of materializing per-space lists — the full edge arrays are
+        never resident.  The vectorized path still materializes its
+        sample once (one whole-array kernel) and then copies it into the
+        store windowed.  Edge values are identical with or without a
+        store.
 
     Returns
     -------
@@ -435,44 +327,16 @@ def generate_edges(
         A simple graph (each vertex pair considered at most once).
     """
     config = config or ParallelConfig()
-    table = prepare_spaces(P, dist, config, max_space_size)
+    table = _space_table(np.asarray(P, dtype=np.float64), dist)
+    if max_space_size is not None:
+        table = split_spaces(table, max_space_size)
     offsets = dist.class_offsets(config)
     counts = dist.counts
     n_spaces = len(table["p"])
     app_u = store.appender("gen_u", np.int64) if store is not None else None
     app_v = store.appender("gen_v", np.int64) if store is not None else None
 
-    if config.backend == "process" and n_spaces > 1:
-        chunks = process_chunk_map(
-            _chunk_kernel,
-            n_spaces,
-            config,
-            table["i"],
-            table["j"],
-            table["p"],
-            table["end"],
-            table["base"],
-            offsets,
-            counts,
-        )
-        if app_u is not None:
-            n_edges = 0
-            for pairs in chunks:
-                app_u.append(pairs[:, 0])
-                app_v.append(pairs[:, 1])
-                n_edges += len(pairs)
-            u = app_u.finish()
-            v = app_v.finish()
-            total_skips = n_edges + n_spaces
-        else:
-            pairs = (
-                np.concatenate(chunks, axis=0)
-                if chunks
-                else np.empty((0, 2), dtype=np.int64)
-            )
-            u, v = pairs[:, 0], pairs[:, 1]
-            total_skips = len(u) + n_spaces  # lower-bound accounting
-    elif config.backend == "serial":
+    if config.backend == "serial":
         # straight per-space reference loop
         rng = config.generator()
         us: list[np.ndarray] = []

@@ -21,8 +21,7 @@ mmap-backed run is bitwise-identical to its in-RAM twin for the same
 seed and config (enforced by the cross-store differential tests and the
 out-of-core CI smoke job).
 
-Spill-file lifecycle follows the shared-memory discipline of
-:mod:`repro.parallel.shm` exactly: every file is named
+Spill-file lifecycle is pid-stamped: every file is named
 ``repro-spill-<owner-pid>-<seq>-<hex>.bin`` inside the spill directory
 (``$REPRO_SPILL_DIR`` or ``<tempdir>/repro-spill``), every
 :class:`MmapStore` writes a pidfile-stamped JSON manifest of its files,
@@ -44,10 +43,9 @@ import tempfile
 import time
 import weakref
 import zlib
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.parallel.shm import _pid_alive
 
 __all__ = [
     "STORE_KINDS",
@@ -56,8 +54,10 @@ __all__ = [
     "MmapStore",
     "ArrayAppender",
     "ChunkGuard",
+    "StoragePlan",
     "open_store",
     "select_store",
+    "plan_storage",
     "spill_dir",
     "reap_stale_spill",
     "report_stale_spill",
@@ -81,12 +81,30 @@ SPILL_PREFIX = "repro-spill-"
 #: memory budget constrains it
 DEFAULT_WINDOW = 1 << 20
 
+#: minimum windowed-permutation window (elements); smaller windows pay
+#: one python-level loop iteration per handful of rows for no residency
+#: benefit
+_MIN_WINDOW = 1 << 14
+
 _SPILL_SEQ = itertools.count()
 _MANIFEST_SEQ = itertools.count()
 
 #: live mmap stores, for the ``store.bytes_mapped`` gauge (weak so a
 #: leaked store never keeps itself alive through the registry)
 _LIVE_STORES: "weakref.WeakSet[MmapStore]" = weakref.WeakSet()
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid currently exists."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - exists, owned by another user
+        return True
+    return True
 
 
 def spill_dir() -> str:
@@ -102,8 +120,7 @@ def create_spill_file(nbytes: int, *, directory: str | None = None) -> str:
     """Create a pid-stamped spill file of ``nbytes`` and return its path.
 
     The owner pid embedded in the name is what lets
-    :func:`reap_stale_spill` decide staleness without a manifest, exactly
-    like ``repro_<pid>_…`` shared-memory segment names.
+    :func:`reap_stale_spill` decide staleness without a manifest.
     """
     d = directory or spill_dir()
     pid = os.getpid()
@@ -126,7 +143,7 @@ def create_spill_file(nbytes: int, *, directory: str | None = None) -> str:
 # -- byte-budget estimates -------------------------------------------------
 #
 # Closed-form working-set estimates the storage planner consumes (see
-# :func:`repro.parallel.autotune.plan_storage`).  They count the
+# :func:`plan_storage`).  They count the
 # *persistent* per-run arrays a store backs; transient proposal
 # temporaries (O(m/2) per swap iteration, required whole-batch for
 # bitwise-identical TestAndSet ordering) stay in RAM and are excluded.
@@ -160,6 +177,66 @@ def select_store(kind: str, working_set_bytes: int, budget_bytes: int) -> str:
     if budget_bytes > 0 and int(working_set_bytes) > int(budget_bytes):
         return "mmap"
     return "ram"
+
+
+@dataclass(frozen=True)
+class StoragePlan:
+    """A memory-budget-aware storage decision for one phase.
+
+    Attributes
+    ----------
+    store:
+        Resolved backing store for the phase's persistent arrays:
+        ``"ram"`` or ``"mmap"`` (never ``"auto"``).
+    window:
+        Elements per windowed copy/permutation step.  Sized so one
+        window of every simultaneously-touched array fits comfortably in
+        the budget; ``0`` when the store is ``"ram"`` (fancy indexing
+        stays whole-array).
+    reason:
+        Human-readable decision record, mirrored into the ``tune.replan``
+        trace event (``compare=False`` so plans compare on substance).
+    """
+
+    store: str
+    window: int
+    reason: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        if self.store not in ("ram", "mmap"):
+            raise ValueError(f"store must be 'ram' or 'mmap', got {self.store!r}")
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
+
+
+def plan_storage(config, *, working_set_bytes: int, phase: str = "run") -> StoragePlan:
+    """Choose the store and window size for one phase.
+
+    Deterministic in its inputs: ``config.store`` and
+    ``config.memory_budget_bytes`` plus the phase's estimated persistent
+    working set.  The plan only moves bytes — outputs are
+    bitwise-identical whichever plan comes back.
+    """
+    budget = int(config.memory_budget_bytes)
+    working_set_bytes = int(working_set_bytes)
+    store = select_store(config.store, working_set_bytes, budget)
+    if store == "ram":
+        window = 0
+    elif budget > 0:
+        # a permutation step touches ~4 arrays (src window, dst window,
+        # the order slice, and the gathered source pages), int64 rows;
+        # aim each step at ~1/8 of the budget
+        window = max(_MIN_WINDOW, min(DEFAULT_WINDOW, budget // (8 * 4 * 8)))
+    else:
+        window = DEFAULT_WINDOW
+    return StoragePlan(
+        store=store,
+        window=int(window),
+        reason=(
+            f"{phase}: working_set={working_set_bytes} budget={budget} "
+            f"store={config.store!r} -> {store} window={window}"
+        ),
+    )
 
 
 # -- stores ----------------------------------------------------------------
@@ -225,8 +302,8 @@ class MmapStore(BackingStore):
         self._manifest_path: str | None = None
         self._released = False
         _LIVE_STORES.add(self)
-        # finalizer parallels SharedArray's: unlink at GC/exit, gated on
-        # the creating pid so forked children never collect parent files
+        # unlink at GC/exit, gated on the creating pid so forked children
+        # never collect parent files
         self._finalizer = weakref.finalize(
             self, _unlink_files, dict(self._paths), None, os.getpid()
         )
@@ -516,8 +593,7 @@ def total_bytes_mapped() -> int:
 def reap_stale_spill(*, directory: str | None = None) -> list[str]:
     """Unlink spill artifacts whose owning process is gone.
 
-    The :func:`repro.parallel.shm.reap_stale` discipline applied to the
-    spill directory — two sweeps, both restricted to this library's
+    Two sweeps of the spill directory, both restricted to this library's
     naming scheme:
 
     1. **manifests** — every ``repro-spill-<pid>-<seq>.json`` whose
@@ -525,12 +601,12 @@ def reap_stale_spill(*, directory: str | None = None) -> list[str]:
        manifest removed;
     2. **name scan** — every ``repro-spill-<pid>-…`` file with a dead
        owner pid is unlinked (covers files created outside a store, e.g.
-       file-backed hash-table segments).
+       a streaming appender's output).
 
     Returns the paths actually removed.  Safe to run concurrently with
     live runs (live owners are skipped) and with other reapers (races
-    resolve to one winner).  Wired into :func:`repro.parallel.shm.reap_stale`
-    and the bench CLI so crashed runs are collected automatically.
+    resolve to one winner).  Wired into the bench CLI and the serving
+    broker so crashed runs are collected automatically.
     """
     try:
         d = directory or spill_dir()
@@ -650,62 +726,3 @@ def report_stale_spill(*, directory: str | None = None) -> list[dict]:
             continue
         add(os.path.join(d, fn), pid)
     return report
-
-
-class FileArray:
-    """A :class:`~repro.parallel.shm.SharedArray` twin over a spill file.
-
-    File-backed segment mode for the sharded hash table: the slot and
-    counter arrays live in a ``MAP_SHARED`` mapping of a pid-stamped
-    spill file instead of ``/dev/shm``, so tables larger than the
-    memory budget spill to disk while keeping the exact same atomics
-    discipline — same-host processes share one set of physical pages,
-    and the single-writer-per-shard routing means cross-process slot
-    updates never race, identically to the shm segments.  Descriptors
-    carry ``kind="file"`` and attach via
-    :meth:`~repro.parallel.shm.SharedArray.attach`'s dispatch.
-    """
-
-    def __init__(self, shape, dtype, *, _path=None, _owner=True) -> None:
-        from repro.parallel.shm import ShmDescriptor
-
-        shape = tuple(int(s) for s in (shape if np.iterable(shape) else (shape,)))
-        dtype = np.dtype(dtype)
-        if _path is None:
-            nbytes = int(dtype.itemsize * int(np.prod(shape, dtype=np.int64)))
-            _path = create_spill_file(nbytes)
-        self._path = _path
-        self._owner = bool(_owner)
-        self.shape = shape
-        self.dtype = dtype
-        self.array = np.memmap(_path, dtype=dtype, mode="r+", shape=shape)
-        self._desc = ShmDescriptor(_path, shape, str(dtype), kind="file")
-        self._finalizer = weakref.finalize(
-            self, _unlink_files,
-            {"a": _path} if self._owner else {}, None, os.getpid(),
-        )
-
-    @property
-    def descriptor(self):
-        """Picklable ``kind="file"`` descriptor for cross-process attach."""
-        return self._desc
-
-    @classmethod
-    def attach(cls, desc) -> "FileArray":
-        """Map a spill file created by another process (never unlinks)."""
-        return cls(desc.shape, desc.dtype, _path=desc.name, _owner=False)
-
-    def close(self) -> None:
-        """Drop the mapping (and unlink the file if owner).  Idempotent."""
-        self.array = None
-        self._finalizer()
-
-    def __enter__(self) -> "FileArray":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        role = "owner" if self._owner else "attached"
-        return f"FileArray({self._path}, shape={self.shape}, dtype={self.dtype}, {role})"

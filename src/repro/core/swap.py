@@ -53,7 +53,7 @@ import contextlib
 import hashlib
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,22 +68,16 @@ from repro.core.storage import (
     copy_into,
     open_store,
     permute_into,
+    plan_storage,
     swap_working_set_bytes,
 )
-from repro.parallel.autotune import plan_storage
 from repro.graph.edgelist import EdgeList
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import record_memory_stats, record_table_stats
 from repro.obs.mixing import MixingProbe, MixingTrajectory
 from repro.parallel import faultinject
 from repro.parallel.cost_model import CostModel
-from repro.parallel.faultinject import FaultEvent
-from repro.parallel.hashtable import (
-    ConcurrentEdgeHashTable,
-    ShardedEdgeHashTable,
-    estimate_table_nbytes,
-    pack_edges,
-)
+from repro.parallel.hashtable import ConcurrentEdgeHashTable, pack_edges
 from repro.parallel.permutation import (
     PermutationStats,
     fisher_yates_permutation,
@@ -92,41 +86,31 @@ from repro.parallel.permutation import (
 from repro.parallel.rng import generator_from_seed
 from repro.parallel.runtime import ParallelConfig
 
-__all__ = ["SwapStats", "swap_edges", "fused_swap_loop", "serial_swap_chain"]
+__all__ = ["SwapStats", "swap_edges", "serial_swap_chain"]
 
-#: uniquifier for store-backed working arrays (the autotune probe split
-#: re-enters the loop on one store, so array names cannot be static)
+#: uniquifier for the names of store-backed working arrays
 _STORE_SEQ = itertools.count()
 
 
 def _open_swap_store(config, m):
     """Plan and (if spilling) open the swap phase's backing store.
 
-    Returns ``(store, window, plan)`` where ``store`` is ``None`` for a
-    RAM plan.  The decision is recorded as a ``tune.replan`` trace event
-    with ``phase="storage"`` so traced runs document spill choices
-    alongside the geometry re-plans.
+    Returns ``(store, window)`` where ``store`` is ``None`` for a RAM
+    plan.  A spill decision is recorded as a ``tune.replan`` trace event
+    with ``phase="storage"`` so traced runs document it.
     """
     plan = plan_storage(
-        config,
-        working_set_bytes=swap_working_set_bytes(m),
-        table_bytes=(
-            estimate_table_nbytes(2 * m + 16, config.shards or None, config.threads)
-            if config.backend == "process"
-            else 0
-        ),
-        phase="swap",
+        config, working_set_bytes=swap_working_set_bytes(m), phase="swap"
     )
+    if plan.store != "mmap":
+        return None, 0
     tr = obs_trace.current()
-    if tr is not None and (plan.store == "mmap" or plan.table_spill):
+    if tr is not None:
         tr.event(
             "tune.replan", phase="storage", store=plan.store,
-            window=plan.window, table_spill=plan.table_spill, edges=m,
-            reason=plan.reason,
+            window=plan.window, edges=m, reason=plan.reason,
         )
-    if plan.store != "mmap":
-        return None, 0, plan
-    return open_store("mmap"), plan.window, plan
+    return open_store("mmap"), plan.window
 
 
 def _store_working_arrays(store, window, u_src, v_src, m):
@@ -158,31 +142,22 @@ class SwapStats:
     swapped_fraction_per_iteration: list[float] = field(default_factory=list)
     #: hash-table contention across iterations — execution observability,
     #: not part of the result contract: attempt/failure counts depend on
-    #: batch grouping and shard geometry (serial probes key-at-a-time,
-    #: the sharded table re-probes per round, autotune re-plans shards
-    #: mid-run), while the verdict stream they produce is identical.
-    #: Excluded from equality, like ``degraded``/``faults``/``mixing``
+    #: batch grouping (serial probes key-at-a-time, vectorized in
+    #: rounds), while the verdict stream they produce is identical.
+    #: Excluded from equality, like ``mixing``
     table_failures: int = field(default=0, compare=False)
     table_attempts: int = field(default=0, compare=False)
     permutation_rounds: int = 0
-    #: the process backend exhausted its fault budget (or shared memory
-    #: was unavailable) and the run fell back to the vectorized backend.
-    #: Excluded from equality: degradation changes *how* a result was
-    #: computed, never the result itself (backends are bitwise-identical)
-    degraded: bool = field(default=False, compare=False)
-    #: FaultEvent records — every supervised recovery plus the final
-    #: degradation trigger, if any (also excluded from equality)
-    faults: list = field(default_factory=list, compare=False)
     #: mixing trajectory sampled along the chain (``mixing_every > 0``);
     #: a derived observation of the edge stream, excluded from equality
     mixing: MixingTrajectory | None = field(default=None, compare=False)
 
     def merge_from(self, other: "SwapStats") -> None:
-        """Accumulate ``other`` into this instance (attempt-local merge).
+        """Accumulate ``other`` into this instance (run-local merge).
 
-        The process backend runs each attempt against a scratch
-        ``SwapStats`` and merges it on success, so a mid-run fault never
-        leaves half an attempt's counts behind in the caller's object.
+        Checkpointed and resumed runs count into a scratch ``SwapStats``
+        and merge it into the caller's at the end, so snapshots carry
+        exactly one run's cumulative counts.
         """
         self.iterations += other.iterations
         self.proposed += other.proposed
@@ -196,8 +171,6 @@ class SwapStats:
         self.table_failures += other.table_failures
         self.table_attempts += other.table_attempts
         self.permutation_rounds += other.permutation_rounds
-        self.degraded = self.degraded or other.degraded
-        self.faults.extend(other.faults)
         if other.mixing is not None:
             self.mixing = other.mixing
 
@@ -221,12 +194,12 @@ class SwapStats:
 # re-registration), so the durable state is exactly: the edge arrays, the
 # swapped-at-least-once mask, the driver RNG stream, and the accumulated
 # statistics.  Restoring those four and re-entering the loop at the saved
-# round reproduces the remaining iterations bit for bit — on any backend,
-# because the TestAndSet verdict stream is backend-invariant.
+# round reproduces the remaining iterations bit for bit — on either
+# backend, because the TestAndSet verdict stream is backend-invariant.
 
 
 def _stats_to_meta(stats: SwapStats | None) -> dict | None:
-    """JSON-safe snapshot of a :class:`SwapStats` (fault log excluded)."""
+    """JSON-safe snapshot of a :class:`SwapStats` (mixing excluded)."""
     if stats is None:
         return None
     return {
@@ -298,8 +271,8 @@ def _swap_fingerprint(graph, iterations, config, space, probing) -> str:
 
     Hashes the input edge list plus every parameter that pins the output
     bits (seed, logical threads, iteration budget, space, probing) —
-    and nothing that doesn't (backend, process count, shard count), so a
-    checkpoint taken on one backend resumes on any other.
+    and nothing that doesn't (the backend), so a checkpoint taken on one
+    backend resumes on the other.
     """
     h = hashlib.sha256()
     h.update(np.int64(graph.n).tobytes())
@@ -433,22 +406,6 @@ class _SwapCheckpointer:
         )
 
 
-def _swap_shm_estimate(m: int, config: ParallelConfig) -> int:
-    """Estimated shared-memory footprint of the process swap engine.
-
-    The sharded table (exact constructor sizing) plus the key/verdict
-    exchange buffers and per-worker journals — used by the ``/dev/shm``
-    capacity preflight so an oversized run degrades cleanly to the
-    vectorized engine instead of dying on ``ENOSPC`` mid-chain.
-    """
-    table = estimate_table_nbytes(2 * m + 16, config.shards or None, config.threads)
-    exchange = m * 9  # int64 keys + uint8 verdict flags
-    # journals are CRC-framed (one frame word per record batch) and sized
-    # at 2x the key batch, hence the doubled per-worker allowance
-    journals = 512 * 1024 * max(1, int(config.threads))
-    return int(table + exchange + journals)
-
-
 def _maybe_span(name: str, **attrs):
     """A trace span when tracing is on, else a no-op context manager."""
     tr = obs_trace.current()
@@ -513,8 +470,8 @@ def swap_edges(
     checkpoint_every:
         Snapshot cadence in iterations.  Snapshots land at iteration
         boundaries — the only points where the hash table is a pure
-        function of the edge array — so no shared-memory state is ever
-        serialized, and a snapshot taken on one backend resumes on any
+        function of the edge array — so no table state is ever
+        serialized, and a snapshot taken on one backend resumes on the
         other.
     resume_from:
         A checkpoint store/directory (or an already-loaded
@@ -587,69 +544,8 @@ def swap_edges(
                 n_vertices=graph.n, degrees=ckpt_degrees,
             )
 
-    # Backend dispatch for the TestAndSet engine.  All three backends
-    # produce identical verdicts (set membership with first-occurrence
-    # semantics), so outputs are bitwise identical for a fixed seed:
-    #
-    # - "vectorized" (default): the flat table's batched round protocol;
-    # - "serial": the flat table's one-key-at-a-time reference;
-    # - "process": the sharded shared-memory table driven by a persistent
-    #   pool of supervised worker processes (created once, reused across
-    #   the whole iterations loop).  That bitwise identity is also the
-    #   degradation ladder: if the process attempt exhausts its worker
-    #   restart budget, or shared memory is unusable, the run restarts on
-    #   the vectorized backend and produces the same output — the fault
-    #   is recorded in ``stats.degraded``/``stats.faults``, not raised.
-    if config.backend == "process" and check_duplicates and m > 0:
-        from repro.parallel import shm
-        from repro.parallel.mp_backend import PoolFaultError
-        from repro.verify import IntegrityError
-
-        faultinject.arm_from(config)
-        fall_faults: list[FaultEvent] = []
-        try:
-            if shm.HAVE_SHM:
-                try:
-                    with _maybe_span("swap:chain", backend="process",
-                                     iterations=iterations, m=m):
-                        return _swap_edges_process(
-                            graph, iterations, config, probing=probing,
-                            check_loops=check_loops, stats=stats, cost=cost,
-                            callback=callback, checkpointer=ckpt,
-                            resume_state=resume_state,
-                        )
-                except PoolFaultError as exc:
-                    fall_faults = list(exc.faults)
-                except IntegrityError:
-                    # detected corruption (canary / CRC / invariant):
-                    # quarantine the shared-memory attempt and replay on
-                    # the bitwise-identical vectorized rung, resuming
-                    # from the last *validated* snapshot below
-                    fall_faults = [FaultEvent(-1, "integrity")]
-                except OSError:
-                    fall_faults = [FaultEvent(-1, "shm")]
-            else:
-                fall_faults = [FaultEvent(-1, "unavailable")]
-        finally:
-            faultinject.disarm_shm_faults()
-        if stats is not None:
-            stats.degraded = True
-            stats.faults.extend(fall_faults)
-        tr = obs_trace.current()
-        if tr is not None:
-            tr.event("pool.degraded", to_backend="vectorized",
-                     faults=len(fall_faults))
-            tr.metrics.inc("pool.degradations")
-        # note: a callback that observed iterations of the failed attempt
-        # will observe the (identical) iterations again from 0 — unless
-        # the attempt left durable snapshots, in which case the fallback
-        # resumes from the latest one instead of restarting the chain
-        config = replace(config, backend="vectorized")
-        if store is not None:
-            resume_state = _load_swap_resume(store, fingerprint, m) or resume_state
-
     rng = config.generator()
-    run_store, window, _splan = _open_swap_store(config, m)
+    run_store, window = _open_swap_store(config, m)
     if run_store is not None:
         u, v, swapped = _store_working_arrays(
             run_store, window, graph.u, graph.v, m
@@ -678,6 +574,10 @@ def swap_edges(
         start_it = resume_state.start_iteration
         if loop_stats is not None:
             loop_stats.merge_from(resume_state.stats)
+    # Both backends produce identical TestAndSet verdicts (set membership
+    # with first-occurrence semantics), so outputs are bitwise identical
+    # for a fixed seed: "vectorized" runs the flat table's batched round
+    # protocol, "serial" its one-key-at-a-time reference.
     table = ConcurrentEdgeHashTable(2 * m + 16, probing=probing)
     tas = (
         table.test_and_set_serial
@@ -686,7 +586,7 @@ def swap_edges(
     )
     with _maybe_span("swap:chain", backend=config.backend,
                      iterations=iterations, m=m):
-        u, v, swapped = _swap_loop(
+        u, v = _swap_loop(
             u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
             check_duplicates, check_loops, loop_stats, cost, callback, graph.n,
             start_iteration=start_it, checkpointer=ckpt,
@@ -707,196 +607,16 @@ def swap_edges(
     return EdgeList(u, v, graph.n)
 
 
-def _swap_edges_process(
-    graph: EdgeList,
-    iterations: int,
-    config: ParallelConfig,
-    *,
-    probing: str,
-    check_loops: bool,
-    stats: SwapStats | None,
-    cost: CostModel | None,
-    callback,
-    checkpointer=None,
-    resume_state=None,
-) -> EdgeList:
-    """One attempt of :func:`swap_edges` on the supervised process pool.
-
-    Stats and cost are accumulated attempt-locally and merged into the
-    caller's objects only on success: a :class:`PoolFaultError` (or shm
-    ``OSError``) mid-attempt must leave them untouched so the vectorized
-    fallback re-accumulates from a clean slate and the caller sees
-    exactly one run's worth of counts.  Checkpoints, by contrast, *are*
-    durable mid-attempt — they are written by this (parent) process at
-    iteration boundaries, where they are correct regardless of how the
-    attempt later ends, and they are what the fallback resumes from.
-    """
-    from repro.parallel import shm
-    from repro.parallel.mp_backend import SwapWorkerPool
-
-    rng = config.generator()
-    m = len(graph.u)
-    run_store, window, splan = _open_swap_store(config, m)
-    if run_store is not None:
-        u, v, swapped = _store_working_arrays(
-            run_store, window, graph.u, graph.v, m
-        )
-    else:
-        u = graph.u.copy()
-        v = graph.v.copy()
-        swapped = np.zeros(m, dtype=bool)
-    n_pairs = m // 2
-    start_it = 0
-    want_stats = stats is not None or checkpointer is not None
-    local_stats = SwapStats() if want_stats else None
-    local_cost = CostModel() if cost is not None else None
-    if resume_state is not None:
-        if run_store is not None:
-            copy_into(u, resume_state.u, window)
-            copy_into(v, resume_state.v, window)
-            copy_into(swapped, resume_state.swapped, window)
-        else:
-            u = resume_state.u.copy()
-            v = resume_state.v.copy()
-            swapped = resume_state.swapped.copy()
-        _restore_rng(rng, resume_state.rng_state)
-        start_it = resume_state.start_iteration
-        if local_stats is not None:
-            local_stats.merge_from(resume_state.stats)
-    shm.ensure_shm_capacity(
-        _swap_shm_estimate(m, config), label="process swap engine"
-    )
-    capacity = min(m, config.batch_size) if config.batch_size else m
-    table = None
-    engine = None
-    pool_faults: list[FaultEvent] = []
-    try:
-        table = ShardedEdgeHashTable(
-            2 * m + 16,
-            n_shards=config.shards or None,
-            probing=probing,
-            workers_hint=config.threads,
-            spill=splan.table_spill,
-        )
-        engine = SwapWorkerPool(
-            table, config.threads, capacity=capacity, config=config
-        )
-        # Observation-driven re-planning: run exactly one iteration on
-        # the static geometry, snapshot what it cost (wall seconds, the
-        # table's contention counters), and re-plan workers/shards/batch
-        # for the remaining iterations.  Applying the plan at an
-        # iteration boundary is bitwise-safe — every iteration rebuilds
-        # the table from the edge array, and TestAndSet verdicts are
-        # geometry-independent — so only the execution changes.
-        if config.autotune and iterations - start_it > 1:
-            from repro.parallel.autotune import TuneSnapshot, plan_swap
-            from repro.parallel.mp_backend import available_workers
-
-            t_probe = time.perf_counter()
-            u, v, swapped = _swap_loop(
-                u, v, swapped, start_it + 1, m, n_pairs, rng, config, table,
-                engine.test_and_set, True, check_loops, local_stats,
-                local_cost, callback, graph.n, start_iteration=start_it,
-                checkpointer=checkpointer, store=run_store, window=window,
-            )
-            snapshot = TuneSnapshot(
-                edges=m,
-                host_workers=available_workers(config.threads),
-                seconds=time.perf_counter() - t_probe,
-                table_attempts=int(table.stats.attempts),
-                table_failures=int(table.stats.failures),
-                workers=engine.n_workers,
-                shards=table.n_shards,
-                batch_size=capacity,
-            )
-            plan = plan_swap(config, snapshot)
-            applied = plan.applies_to(
-                workers=engine.n_workers, shards=table.n_shards,
-                batch_size=capacity,
-            )
-            tr = obs_trace.current()
-            if tr is not None:
-                tr.event(
-                    "tune.replan", phase="swap", applied=applied,
-                    workers=plan.processes, shards=plan.shards,
-                    batch_size=plan.batch_size, edges=m,
-                    probe_seconds=round(snapshot.seconds, 9),
-                    table_attempts=snapshot.table_attempts,
-                    table_failures=snapshot.table_failures,
-                    reason=plan.reason,
-                )
-                tr.metrics.inc("tune.replans")
-            start_it = start_it + 1
-            if applied:
-                # retire the probe geometry: bank its contention view and
-                # recovery history before tearing it down
-                if tr is not None:
-                    record_table_stats(tr.metrics, table)
-                pool_faults.extend(engine.faults)
-                engine.close()
-                table.close()
-                engine = table = None
-                capacity = min(m, plan.batch_size)
-                table = ShardedEdgeHashTable(
-                    2 * m + 16, n_shards=plan.shards, probing=probing,
-                    workers_hint=config.threads, spill=splan.table_spill,
-                )
-                engine = SwapWorkerPool(
-                    table, plan.processes, capacity=capacity, config=config
-                )
-        u, v, swapped = _swap_loop(
-            u, v, swapped, iterations, m, n_pairs, rng, config, table,
-            engine.test_and_set, True, check_loops, local_stats, local_cost,
-            callback, graph.n, start_iteration=start_it,
-            checkpointer=checkpointer, store=run_store, window=window,
-        )
-        if stats is not None:
-            stats.merge_from(local_stats)
-            # recoveries that *succeeded* still happened; surface them
-            stats.faults.extend(pool_faults)
-            stats.faults.extend(engine.faults)
-        if cost is not None:
-            cost.merge(local_cost)
-        tr = obs_trace.current()
-        if tr is not None:
-            record_table_stats(tr.metrics, table)
-        return EdgeList(u, v, graph.n)
-    finally:
-        if engine is not None:
-            engine.close()
-        if table is not None:
-            table.close()
-        if run_store is not None:
-            # sample the mapped footprint while the store still owns it,
-            # then settle the disk debt (idempotent): the mappings behind
-            # any returned arrays stay valid, only the paths go away; a
-            # failed attempt's files are collected here too
-            tr = obs_trace.current()
-            if tr is not None:
-                record_memory_stats(tr.metrics)
-            run_store.release()
-
-
 def _swap_loop(
     u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
     check_duplicates, check_loops, stats, cost, callback, n_vertices,
-    preregistered: bool = False,
     *,
     start_iteration: int = 0,
     checkpointer=None,
     store=None,
     window: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The per-iteration body of :func:`swap_edges` (backend-agnostic).
-
-    With ``preregistered=True`` the first iteration's clear + edge
-    registration is skipped: the fused pipeline's generation phase has
-    already inserted every edge (all keys fresh — edge-skip spaces are
-    disjoint), so the table state entering iteration 0 is identical to
-    what registration would have produced.  The contention baseline for
-    that iteration is the pre-insert state (zero on a fresh table), so
-    the insert-phase attempts land in iteration 0's stats delta exactly
-    as phased registration would.
 
     ``start_iteration > 0`` re-enters the loop mid-chain from restored
     checkpoint state; the first resumed iteration always clears and
@@ -971,44 +691,37 @@ def _swap_loop(
             guard.check("swapped", swapped)
             if keys is not None:
                 guard.check("keys", keys)
-        if it == 0 and preregistered:
-            attempts_before = 0
-            failures_before = 0
-        else:
-            table.clear()
-            attempts_before = table.stats.attempts
-            failures_before = table.stats.failures
-            # Phase 1: register all current edges (duplicate-checked spaces).
-            if check_duplicates:
-                if keys is None:
-                    if windowed:
-                        # build the maintained keys store-backed, one
-                        # window at a time (pack_edges is elementwise, so
-                        # the values match a whole-array pack exactly)
-                        keys = store.empty(f"pp{next(_STORE_SEQ)}_keys", m, np.int64)
-                        for lo in range(0, m, win):
-                            hi = min(lo + win, m)
-                            keys[lo:hi] = pack_edges(u[lo:hi], v[lo:hi])
-                    else:
-                        keys = pack_edges(u, v)
-                tas(keys)
-                faultinject.maybe_flip_array("table", table._slots)
-                if tier != "off":
-                    # immediately post-registration is the only point
-                    # where the table is exactly the current edge set
-                    # (failed proposals accrete stale keys later on)
-                    if hasattr(table, "check_canaries"):
-                        table.check_canaries()
-                    if tier == "full" and clean_dups:
-                        # clean_dups gates the multiset compare: a
-                        # multigraph input still being simplified
-                        # registers duplicate keys the table rightly
-                        # stores once
-                        from repro.verify import verify_table_registration
+        table.clear()
+        attempts_before = table.stats.attempts
+        failures_before = table.stats.failures
+        # Phase 1: register all current edges (duplicate-checked spaces).
+        if check_duplicates:
+            if keys is None:
+                if windowed:
+                    # build the maintained keys store-backed, one window
+                    # at a time (pack_edges is elementwise, so the values
+                    # match a whole-array pack exactly)
+                    keys = store.empty(f"pp{next(_STORE_SEQ)}_keys", m, np.int64)
+                    for lo in range(0, m, win):
+                        hi = min(lo + win, m)
+                        keys[lo:hi] = pack_edges(u[lo:hi], v[lo:hi])
+                else:
+                    keys = pack_edges(u, v)
+            tas(keys)
+            faultinject.maybe_flip_array("table", table._slots)
+            if tier == "full" and clean_dups:
+                # immediately post-registration is the only point where
+                # the table is exactly the current edge set (failed
+                # proposals accrete stale keys later on); clean_dups
+                # gates the multiset compare: a multigraph input still
+                # being simplified registers duplicate keys the table
+                # rightly stores once
+                from repro.verify import verify_table_registration
 
-                        verify_table_registration(table, keys)
+                verify_table_registration(table, keys)
 
         # Phase 2: parallel permutation of the edge list.
+        t_perm = time.perf_counter()
         perm_stats = PermutationStats()
         order = parallel_permutation(
             np.arange(m, dtype=np.int64),
@@ -1020,6 +733,7 @@ def _swap_loop(
         swapped = _permuted("swapped", swapped, order)
         if keys is not None:
             keys = _permuted("keys", keys, order)
+        perm_seconds = time.perf_counter() - t_perm
 
         # Phase 3: propose swaps on adjacent pairs.
         accepted = 0
@@ -1092,12 +806,14 @@ def _swap_loop(
             stats.table_failures += table.stats.failures - failures_before
             stats.permutation_rounds += perm_stats.rounds
         if cost is not None:
+            # the permutation and its gathers are timed on their own; the
+            # rest of the round (registration, proposals, apply) is "swap"
             elapsed = time.perf_counter() - t0
-            cost.add("permutation", work=float(perm_stats.attempts * 2), depth=float(perm_stats.rounds), seconds=elapsed * 0.4)
+            cost.add("permutation", work=float(perm_stats.attempts * 2), depth=float(perm_stats.rounds), seconds=perm_seconds)
             # the O(1) proposal span can exceed 2m ops only on degenerate
             # near-empty inputs; the span is capped by the work by definition
             swap_depth = min(float(2 * m), float(4 + (table.stats.failures - failures_before > 0)))
-            cost.add("swap", work=float(2 * m), depth=swap_depth, seconds=elapsed * 0.6)
+            cost.add("swap", work=float(2 * m), depth=swap_depth, seconds=elapsed - perm_seconds)
         tr = obs_trace.current()
         if tr is not None:
             tr.event(
@@ -1131,53 +847,6 @@ def _swap_loop(
             check_loops=clean_loops, check_duplicates=clean_dups,
             label="swap",
         )
-
-    # swapped is returned because the permutation rebinds it (fancy
-    # indexing copies): callers that re-enter the loop — the autotune
-    # probe/remainder split — must hand the *permuted* array back in
-    return u, v, swapped
-
-
-def fused_swap_loop(
-    u: np.ndarray,
-    v: np.ndarray,
-    iterations: int,
-    config: ParallelConfig,
-    table,
-    tas,
-    *,
-    n_vertices: int,
-    stats: SwapStats | None = None,
-    cost: CostModel | None = None,
-    callback=None,
-    checkpointer=None,
-    store=None,
-    window: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap-phase entry for the fused pipeline (simple space only).
-
-    The caller owns the table and the TestAndSet engine (the pipeline
-    pool, already populated with every generated edge), so iteration 0
-    skips the clear + registration step.  The RNG stream, permutation
-    seeds, and proposal protocol are exactly :func:`swap_edges`'s, which
-    makes the output bitwise-identical to the phased composition.
-    ``u``/``v`` are mutated in place and returned.
-    """
-    if iterations < 1:
-        raise ValueError("fused_swap_loop needs >= 1 iteration")
-    rng = config.generator()
-    m = len(u)
-    n_pairs = m // 2
-    if store is not None and getattr(store, "kind", "ram") == "mmap":
-        swapped = store.empty(f"fused{next(_STORE_SEQ)}_swapped", m, np.bool_)
-        swapped[:] = False
-    else:
-        swapped = np.zeros(m, dtype=bool)
-    u, v, _ = _swap_loop(
-        u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
-        True, True, stats, cost, callback, n_vertices, preregistered=True,
-        checkpointer=checkpointer, store=store, window=window,
-    )
     return u, v
 
 

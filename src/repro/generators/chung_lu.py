@@ -12,8 +12,7 @@ Vertices use the degree-ordered labelling shared by all generators in
 this library, so attachment matrices stay comparable across methods.
 
 The draws are embarrassingly parallel: each chunk of the 2m-draw loop
-samples with its own RNG stream (``backend="process"`` runs chunks in
-worker processes).
+samples with its own RNG stream.
 """
 
 from __future__ import annotations
@@ -23,13 +22,11 @@ import numpy as np
 from repro.graph.degree import DegreeDistribution
 from repro.graph.edgelist import EdgeList
 from repro.parallel.cost_model import CostModel
-from repro.parallel.mp_backend import process_chunk_map
-from repro.parallel.rng import spawn_generators
-from repro.parallel.runtime import ParallelConfig, chunk_bounds
+from repro.parallel.runtime import ParallelConfig, chunk_map
 
 __all__ = ["chung_lu_om", "erased_chung_lu"]
 
-# module-level kernel so the process backend can pickle it
+
 def _draw_kernel(lo: int, hi: int, seed: int, weights: np.ndarray, method: str) -> np.ndarray:
     from repro.generators.sampling import make_sampler
 
@@ -61,7 +58,7 @@ def chung_lu_om(
     weights = dist.expand().astype(np.float64)
     n_draws = dist.stub_count()
 
-    chunks = process_chunk_map(_draw_kernel, n_draws, config, weights, sampler)
+    chunks = chunk_map(_draw_kernel, n_draws, config, weights, sampler)
     draws = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     u = draws[0::2]
     v = draws[1::2]

@@ -7,8 +7,8 @@ Three small, composable pieces (see ``docs/observability.md``):
   optional JSONL file.  Instrumentation sites are no-ops unless a trace
   is installed (:func:`current` returns ``None``).
 - :mod:`repro.obs.metrics` — a per-run :class:`Metrics` registry of
-  counters/gauges/histograms, fed once per phase from the existing
-  shared-memory shard counters.
+  counters/gauges/histograms, fed once per phase from the hash table's
+  contention counters.
 - :mod:`repro.obs.mixing` — swap-chain mixing diagnostics (degree
   assortativity, clustering proxy, edge overlap with the start graph),
   sampled every ``k`` permutation rounds and bitwise-identical across
@@ -23,7 +23,7 @@ Quickstart::
     with RunTrace("run.jsonl") as trace:
         graph, report = generate_graph(
             dist, swap_iterations=10, mixing_every=2,
-            config=ParallelConfig(threads=4, seed=7, backend="process"))
+            config=ParallelConfig(threads=4, seed=7))
     print(trace.metrics.counters)
     print(report.swap_stats.mixing.to_dict())
 """
@@ -42,12 +42,11 @@ from repro.obs.schema import (
     validate_trace,
     validate_trace_file,
 )
-from repro.obs.trace import RunTrace, current, reset_for_worker
+from repro.obs.trace import RunTrace, current
 
 __all__ = [
     "RunTrace",
     "current",
-    "reset_for_worker",
     "Metrics",
     "Histogram",
     "SampledTimer",

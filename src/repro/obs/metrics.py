@@ -4,9 +4,8 @@ The registry is deliberately tiny: plain dicts keyed by metric name, no
 label cardinality, no background threads.  Hot paths never touch it
 directly — instrumentation sites ask :func:`repro.obs.trace.current`
 first and skip everything when tracing is off, so the disabled cost is
-one global read.  The expensive sources (per-shard shared-memory
-counters, probe-length distributions) are ingested *once per phase* via
-:func:`record_table_stats`, not per operation.
+one global read.  The hash table's contention counters are ingested
+*once per phase* via :func:`record_table_stats`, not per operation.
 
 Timers are sampled: a :class:`SampledTimer` counts every call but only
 reads the clock on every ``sample_every``-th one, bounding overhead on
@@ -154,39 +153,16 @@ class Metrics:
 def record_table_stats(metrics: Metrics, table, *, prefix: str = "swap.table") -> None:
     """Ingest a hash table's accumulated statistics into ``metrics``.
 
-    Works on both table flavors by duck typing:
-
-    - :class:`~repro.parallel.hashtable.ShardedEdgeHashTable` exposes
-      ``per_shard_stats()`` (per-shard shared-memory counter arrays);
-      shard totals become counters, per-shard probe-advance and
-      max-probe distributions become histograms.
-    - :class:`~repro.parallel.hashtable.ConcurrentEdgeHashTable` exposes
-      only aggregate ``.stats`` (and ``.max_probe``), recorded as
-      counters/gauges.
-
-    Counters are *cumulative over the table's lifetime*; call this once
-    when a phase ends, not per batch.
+    The aggregate ``.stats`` of a
+    :class:`~repro.parallel.hashtable.ConcurrentEdgeHashTable` become
+    counters and its ``.max_probe`` a gauge.  Counters are *cumulative
+    over the table's lifetime*; call this once when a phase ends, not
+    per batch.
     """
-    per_shard = getattr(table, "per_shard_stats", None)
-    if callable(per_shard):
-        shard_stats = per_shard()
-        for column, values in shard_stats.items():
-            if column != "max_probe":  # maxima don't sum; see gauge below
-                metrics.inc(f"{prefix}.{column}", float(values.sum()))
-            if column in ("probe_adv", "max_probe"):
-                metrics.observe_many(f"{prefix}.shard.{column}", values)
-        if "max_probe" in shard_stats:
-            metrics.set_gauge(f"{prefix}.max_probe",
-                              float(shard_stats["max_probe"].max(initial=0)))
-        return
-    stats = getattr(table, "stats", None)
-    if stats is not None:
-        metrics.inc(f"{prefix}.attempts", float(stats.attempts))
-        metrics.inc(f"{prefix}.failures", float(stats.failures))
-        metrics.inc(f"{prefix}.rounds", float(stats.rounds))
-    max_probe = getattr(table, "max_probe", None)
-    if max_probe is not None:
-        metrics.set_gauge(f"{prefix}.max_probe", float(max_probe))
+    metrics.inc(f"{prefix}.attempts", float(table.stats.attempts))
+    metrics.inc(f"{prefix}.failures", float(table.stats.failures))
+    metrics.inc(f"{prefix}.rounds", float(table.stats.rounds))
+    metrics.set_gauge(f"{prefix}.max_probe", float(table.max_probe))
 
 
 def record_memory_stats(metrics: Metrics) -> None:

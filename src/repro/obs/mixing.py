@@ -15,7 +15,7 @@ deterministic structural statistics along the chain, sampled every
   keys; decays from 1.0 toward the overlap of an independent draw.
 
 Every statistic is a pure function of the edge list, so trajectories
-are bitwise-identical across the serial / vectorized / process backends
+are bitwise-identical across the serial and vectorized backends
 (which produce bitwise-identical chains by construction).
 """
 

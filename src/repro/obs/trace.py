@@ -2,7 +2,7 @@
 
 A :class:`RunTrace` is a context manager that records *spans* (named,
 nested intervals: phases, swap chains) and *events* (point-in-time
-records: permutation rounds, worker respawns, checkpoint writes) into a
+records: permutation rounds, checkpoint writes) into a
 bounded in-memory ring, optionally mirrored line-by-line to a JSONL
 file.  Exactly one trace is *current* per process at a time; the hot
 paths ask :func:`current` and skip all bookkeeping when it returns
@@ -19,10 +19,6 @@ Record shapes (schema version :data:`~repro.obs.schema.TRACE_SCHEMA_VERSION`)::
 records are emitted when the span *closes*, so in a JSONL file children
 precede their parents; consumers that want the tree must buffer (see
 :mod:`repro.obs.schema`).
-
-Worker processes fork with the parent's current trace installed; they
-must never emit into the inherited file handle.  The process pool calls
-:func:`reset_for_worker` from the worker bootstrap to sever it.
 
 Two server-shaped extensions (see :mod:`repro.serve`):
 
@@ -51,7 +47,7 @@ from typing import Any, Iterator
 from repro.obs.metrics import Metrics
 from repro.obs.schema import TRACE_SCHEMA_VERSION
 
-__all__ = ["RunTrace", "current", "reset_for_worker", "suppressed"]
+__all__ = ["RunTrace", "current", "suppressed"]
 
 #: the process-wide current trace (installed by ``RunTrace.__enter__``)
 _CURRENT: "RunTrace | None" = None
@@ -88,17 +84,6 @@ def suppressed() -> Iterator[None]:
         yield
     finally:
         _TLS.suppressed -= 1
-
-
-def reset_for_worker() -> None:
-    """Sever an inherited trace inside a forked worker process.
-
-    The parent's JSONL file handle is shared after ``fork``; a worker
-    writing to it would interleave with (and duplicate) parent records.
-    Workers call this at bootstrap so all emission stays parent-side.
-    """
-    global _CURRENT
-    _CURRENT = None
 
 
 def _json_safe(value: Any) -> Any:

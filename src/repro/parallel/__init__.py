@@ -15,17 +15,16 @@ runtime.  It provides:
   contention accounting;
 - :mod:`repro.parallel.cost_model` — work/span accounting that converts
   measured work into simulated p-thread wall-clock for scaling studies;
-- :mod:`repro.parallel.mp_backend` — a true-parallel ``multiprocessing``
-  executor over shared memory, with a supervised worker pool that
-  recovers dead/hung workers by deterministic batch replay;
 - :mod:`repro.parallel.faultinject` — the deterministic fault-injection
-  harness exercising those recovery paths in tests.
+  harness behind the checkpoint-resume and bit-rot drills.
 
 The default engine executes each parallel algorithm's *round structure*
 with vectorized numpy kernels: conflicts (hash-table slot collisions,
 permutation reservation failures) are detected exactly as a lock-free
 multithreaded execution would produce them, with deterministic
 lowest-index-wins resolution so results are reproducible for a fixed seed.
+The ``serial`` backend runs straight-line reference implementations of
+the same algorithms, which the tests compare against bit for bit.
 """
 
 from repro.parallel.runtime import ParallelConfig, chunk_bounds, chunk_views
@@ -36,14 +35,7 @@ from repro.parallel.permutation import (
     fisher_yates_permutation,
     sort_permutation,
 )
-from repro.parallel.hashtable import (
-    ConcurrentEdgeHashTable,
-    ShardedEdgeHashTable,
-    ShardJournal,
-    pack_edges,
-    unpack_edges,
-)
-from repro.parallel.shm import SharedArray, ShmDescriptor, reap_stale
+from repro.parallel.hashtable import ConcurrentEdgeHashTable, pack_edges, unpack_edges
 from repro.parallel.cost_model import CostModel, PhaseCost
 from repro.parallel.faultinject import FaultEvent, FaultPlan, FaultSpec, parse_plan
 
@@ -59,11 +51,6 @@ __all__ = [
     "fisher_yates_permutation",
     "sort_permutation",
     "ConcurrentEdgeHashTable",
-    "ShardedEdgeHashTable",
-    "ShardJournal",
-    "SharedArray",
-    "ShmDescriptor",
-    "reap_stale",
     "pack_edges",
     "unpack_edges",
     "CostModel",

@@ -1,77 +1,43 @@
-"""Deterministic fault injection for the process-backend pipeline.
+"""Deterministic fault injection for the durability and integrity drills.
 
-A production-scale generation service treats worker death, hangs, and
-shared-memory hiccups as routine events.  The supervision and replay
-machinery in :mod:`repro.parallel.mp_backend` that makes them routine is
-only trustworthy if every recovery path is exercised deterministically by
-tests — the same discipline fuzzing harnesses apply to their own crash
-handling.  This module is that harness.
+Checkpoint/resume and the integrity tiers are only trustworthy if every
+recovery path is exercised deterministically by tests.  This module is
+that harness.
 
 A *fault plan* is a comma-separated spec string, read from
 ``ParallelConfig.faults`` or the ``REPRO_FAULTS`` environment variable:
 
-``kill:w0:tas:1``
-    SIGKILL worker 0 immediately before its 2nd ``tas`` batch.
-``killmid:w1:insert:0``
-    SIGKILL worker 1 halfway through executing the batch (after half the
-    keys have been inserted) — exercises journal rollback, not just
-    replay.
-``hang:w0:gen:0``
-    worker 0 sleeps instead of serving its 1st ``gen`` message; the
-    supervisor's per-batch deadline (``ParallelConfig.batch_deadline``)
-    must reap it.
-``error:w2:tas:0``
-    worker 2 raises instead of executing (surfaces as a worker error
-    reply, not a death).
-``shm:1``
-    fail the next shared-memory create/attach in *this* process with
-    ``OSError`` (arms a process-local counter).
-``kill:w0:tas:0:x3``
-    fire three times — once per respawned incarnation of worker 0.
 ``parentkill:checkpoint:1``
-    SIGKILL the *driver process itself* immediately after its 2nd
-    durable checkpoint write — the resume drill: the suite relaunches
-    the run with ``resume`` and asserts the output is bitwise-identical
-    to an uninterrupted run.
+    SIGKILL the driver process itself immediately after its 2nd durable
+    checkpoint write — the resume drill: the suite relaunches the run
+    with ``resume`` and asserts the output is bitwise-identical to an
+    uninterrupted run.
 ``bitflip:table:0``
     flip one bit of the named artifact at its 1st flip opportunity —
     the bitrot drill for the integrity layer (see :mod:`repro.verify`).
-    Artifacts: ``table`` (shared hash-table slots), ``journal`` (replay
-    journal entries), ``spill`` (a spill-backed array window),
-    ``checkpoint`` (a durable snapshot payload), ``cache`` (a served
-    result's arrays).  The drill suite asserts every injected flip is
-    either repaired (output bitwise-equal to the fault-free run) or
-    surfaced as a typed ``IntegrityError`` — never a silently wrong
-    graph.
-
-Worker-targeted specs count *matching ops as observed by one worker
-process*, so a respawned worker re-observes its replayed batch at index
-0.  The supervising pool disarms (decrements ``times`` of) every spec
-targeting a worker when it respawns it, which is what makes single-shot
-faults single-shot instead of an infinite kill loop.  ``shm`` specs arm
-a process-local counter consumed by
-:class:`repro.parallel.shm.SharedArray`; forked workers disarm it at
-startup so an armed parent never leaks injection into its children.
+    Artifacts: ``table`` (hash-table slots), ``spill`` (a spill-backed
+    array window), ``checkpoint`` (a durable snapshot payload),
+    ``cache`` (a served result's arrays).  The drill suite asserts every
+    injected flip is either repaired (output bitwise-equal to the
+    fault-free run) or surfaced as a typed ``IntegrityError`` — never a
+    silently wrong graph.
+``bitflip:spill:0:x3``
+    fire three times (the ``:xN`` suffix repeats any spec).
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "FAULT_ENV",
     "FaultSpec",
     "FaultPlan",
     "FaultEvent",
-    "WorkerInjector",
     "parse_plan",
     "plan_from",
-    "arm_shm_faults",
-    "disarm_shm_faults",
-    "consume_shm_fault",
     "arm_parent_faults",
     "disarm_parent_faults",
     "fire_parent",
@@ -86,167 +52,78 @@ __all__ = [
 #: Environment variable holding a fault-plan string.
 FAULT_ENV = "REPRO_FAULTS"
 
-#: Fault kinds executed inside a worker process.
-WORKER_FAULT_KINDS = ("kill", "killmid", "hang", "error")
-
-#: Fault kinds executed inside the driver (parent) process.
+#: Fault kinds executed inside the driver process.
 PARENT_FAULT_KINDS = ("parentkill",)
 
 #: Artifact classes a ``bitflip`` spec may target.
-BITFLIP_ARTIFACTS = ("table", "journal", "spill", "checkpoint", "cache")
-
-#: How long a ``hang`` fault sleeps.  Far beyond any sane batch deadline;
-#: the supervisor is expected to SIGKILL the worker long before this.
-HANG_SECONDS = 600.0
+BITFLIP_ARTIFACTS = ("table", "spill", "checkpoint", "cache")
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected fault: *kind* on *worker* before its *index*-th *op*."""
+    """One injected fault: *kind* at the *index*-th *op*."""
 
     kind: str
-    worker: int  #: target worker id; ``-1`` matches any worker
-    op: str  #: ``"gen"`` | ``"tas"`` | ``"insert"`` | ``"bind"`` | ``"*"``
-    index: int  #: fire before the index-th matching op (per worker process)
-    times: int = 1  #: remaining firings (decremented on respawn)
+    op: str  #: a parent op (``"checkpoint"``) or a bitflip artifact
+    index: int  #: fire at the index-th matching op
+    times: int = 1  #: remaining firings
 
-    def matches(self, worker_id: int, op: str, seen: int) -> bool:
-        """Whether this spec fires for *worker_id*'s *seen*-th *op*."""
-        return (
-            self.times > 0
-            and (self.worker == -1 or self.worker == worker_id)
-            and (self.op == "*" or self.op == op)
-            and seen == self.index
-        )
+    def matches(self, op: str, seen: int) -> bool:
+        """Whether this spec fires for the *seen*-th *op*."""
+        return self.times > 0 and self.op == op and seen == self.index
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A parsed fault-plan: worker specs, parent specs, shm budget."""
+    """A parsed fault-plan: parent specs and bitrot specs."""
 
-    specs: tuple = ()
-    shm_failures: int = 0
-    #: specs executed by the driver process itself (``parentkill``) —
-    #: never shipped to workers, never disarmed by respawns
+    #: specs executed by the driver process itself (``parentkill``)
     parent_specs: tuple = ()
-    #: bitrot-injection specs (``bitflip``) — armed process-locally in
-    #: the driver, never shipped to workers, never disarmed by respawns
+    #: bitrot-injection specs (``bitflip``)
     bitflip_specs: tuple = ()
 
     def __bool__(self) -> bool:
-        return (
-            bool(self.specs)
-            or self.shm_failures > 0
-            or bool(self.parent_specs)
-            or bool(self.bitflip_specs)
-        )
-
-    def after_respawn(self, worker: int) -> "FaultPlan":
-        """Disarm one firing of every spec targeting ``worker``.
-
-        Called by the supervisor when it respawns a worker: whatever spec
-        killed or hung the old incarnation has fired, and the fresh
-        incarnation restarts its op counters at zero — without the
-        decrement a single-shot fault would re-fire on the replayed batch
-        forever.
-        """
-        out = []
-        for s in self.specs:
-            if s.worker in (-1, worker):
-                if s.times > 1:
-                    out.append(replace(s, times=s.times - 1))
-            else:
-                out.append(s)
-        return FaultPlan(
-            tuple(out), self.shm_failures, self.parent_specs, self.bitflip_specs
-        )
+        return bool(self.parent_specs) or bool(self.bitflip_specs)
 
 
 def parse_plan(spec: str | None) -> FaultPlan | None:
     """Parse a fault-plan string; ``None``/empty input yields ``None``."""
     if not spec:
         return None
-    specs = []
     parent_specs = []
     bitflip_specs = []
-    shm = 0
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         parts = token.split(":")
         kind = parts[0]
-        if kind == "shm":
-            if len(parts) != 2:
-                raise ValueError(f"malformed shm fault {token!r}; expected shm:N")
-            shm += int(parts[1])
-            continue
-        if kind == "bitflip":
-            if len(parts) not in (3, 4):
-                raise ValueError(
-                    f"malformed bitflip fault {token!r}; expected "
-                    f"bitflip:artifact:index[:xT]"
-                )
-            artifact = parts[1]
-            if artifact not in BITFLIP_ARTIFACTS:
-                raise ValueError(
-                    f"unknown bitflip artifact {artifact!r}; expected one of "
-                    f"{BITFLIP_ARTIFACTS}"
-                )
-            index = int(parts[2])
-            if index < 0:
-                raise ValueError(f"fault index must be >= 0 in {token!r}")
-            times = 1
-            if len(parts) == 4:
-                if not parts[3].startswith("x"):
-                    raise ValueError(
-                        f"malformed repeat field {parts[3]!r} in {token!r}"
-                    )
-                times = int(parts[3][1:])
-            bitflip_specs.append(FaultSpec(kind, -1, artifact, index, times))
-            continue
-        if kind in PARENT_FAULT_KINDS:
-            if len(parts) not in (3, 4):
-                raise ValueError(
-                    f"malformed parent fault {token!r}; expected kind:op:index[:xT]"
-                )
-            op = parts[1]
-            index = int(parts[2])
-            if index < 0:
-                raise ValueError(f"fault index must be >= 0 in {token!r}")
-            times = 1
-            if len(parts) == 4:
-                if not parts[3].startswith("x"):
-                    raise ValueError(
-                        f"malformed repeat field {parts[3]!r} in {token!r}"
-                    )
-                times = int(parts[3][1:])
-            parent_specs.append(FaultSpec(kind, -1, op, index, times))
-            continue
-        if kind not in WORKER_FAULT_KINDS:
+        if kind not in PARENT_FAULT_KINDS + ("bitflip",):
             raise ValueError(
                 f"unknown fault kind {kind!r}; expected one of "
-                f"{WORKER_FAULT_KINDS + PARENT_FAULT_KINDS + ('shm',)}"
+                f"{PARENT_FAULT_KINDS + ('bitflip',)}"
             )
-        if len(parts) not in (4, 5):
+        if len(parts) not in (3, 4):
             raise ValueError(
-                f"malformed fault {token!r}; expected kind:wN:op:index[:xT]"
+                f"malformed fault {token!r}; expected {kind}:op:index[:xT]"
             )
-        wtok = parts[1]
-        if not wtok.startswith("w"):
-            raise ValueError(f"malformed worker field {wtok!r} in {token!r}")
-        worker = -1 if wtok in ("w*", "w-1") else int(wtok[1:])
-        op = parts[2]
-        index = int(parts[3])
+        op = parts[1]
+        if kind == "bitflip" and op not in BITFLIP_ARTIFACTS:
+            raise ValueError(
+                f"unknown bitflip artifact {op!r}; expected one of "
+                f"{BITFLIP_ARTIFACTS}"
+            )
+        index = int(parts[2])
         if index < 0:
             raise ValueError(f"fault index must be >= 0 in {token!r}")
         times = 1
-        if len(parts) == 5:
-            if not parts[4].startswith("x"):
-                raise ValueError(f"malformed repeat field {parts[4]!r} in {token!r}")
-            times = int(parts[4][1:])
-        specs.append(FaultSpec(kind, worker, op, index, times))
-    plan = FaultPlan(tuple(specs), shm, tuple(parent_specs), tuple(bitflip_specs))
+        if len(parts) == 4:
+            if not parts[3].startswith("x"):
+                raise ValueError(f"malformed repeat field {parts[3]!r} in {token!r}")
+            times = int(parts[3][1:])
+        target = bitflip_specs if kind == "bitflip" else parent_specs
+        target.append(FaultSpec(kind, op, index, times))
+    plan = FaultPlan(tuple(parent_specs), tuple(bitflip_specs))
     return plan if plan else None
 
 
@@ -256,62 +133,11 @@ def plan_from(config) -> FaultPlan | None:
     return parse_plan(spec or os.environ.get(FAULT_ENV, ""))
 
 
-class WorkerInjector:
-    """Per-worker-process firing state: counts matching ops, fires faults.
-
-    ``fire(op)`` is called by the worker loop at the top of every message.
-    ``kill`` and ``hang`` never return; ``error`` raises; ``killmid``
-    returns the string ``"killmid"`` so the worker can do half the batch
-    before killing itself (the loop owns the batch internals, not us).
-    """
-
-    def __init__(self, plan: FaultPlan, worker_id: int) -> None:
-        self._plan = plan
-        self._worker = int(worker_id)
-        self._seen: dict[str, int] = {}
-
-    def fire(self, op: str) -> str | None:
-        """Trigger any armed fault for *op*; returns ``"killmid"`` or None.
-
-        The fused ``bindins`` message is the pipeline's bind + insert in
-        one round, so it answers to *both* names: a spec written against
-        ``insert`` (or ``bind``) keeps firing after the fusion — fault
-        plans target logical phases, not wire-format message tags.
-        """
-        aliases = (op, "insert", "bind") if op == "bindins" else (op,)
-        seen_by_alias = {a: self._seen.get(a, 0) for a in aliases}
-        for a in aliases:
-            self._seen[a] = seen_by_alias[a] + 1
-        action = None
-        for spec in self._plan.specs:
-            if not any(
-                spec.matches(self._worker, a, seen_by_alias[a]) for a in aliases
-            ):
-                continue
-            if spec.kind == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif spec.kind == "hang":
-                time.sleep(HANG_SECONDS)
-                # a hang that outlives the supervisor's patience must not
-                # wake up and serve stale work
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif spec.kind == "error":
-                raise RuntimeError(
-                    f"injected worker fault (worker {self._worker}, op {op!r})"
-                )
-            else:  # killmid: the worker loop executes half the batch first
-                action = spec.kind
-        return action
-
-
 @dataclass
 class FaultEvent:
-    """One supervised recovery (or degradation trigger) record."""
+    """One repair record (see ``GenerationReport.faults``)."""
 
-    worker: int  #: worker id, or -1 for process-wide events (shm faults)
-    kind: str  #: ``"died"`` | ``"hung"`` | ``"shm"`` | ``"unavailable"``
-    op: str | None = None  #: op of the batch being replayed, if known
-    restart: int = 0  #: pool restart counter after this event
+    kind: str  #: what was repaired: ``"integrity"``
 
 
 # -- driver-process (parent) fault firing ---------------------------------
@@ -319,8 +145,7 @@ class FaultEvent:
 # parentkill specs drill the checkpoint/resume path: the driver SIGKILLs
 # *itself* right after the matching durable event (today: the index-th
 # "checkpoint" write), and the test harness relaunches with resume.  The
-# firing state is process-local; forked workers disarm it at startup so
-# a driver plan never detonates inside a worker.
+# firing state is process-local.
 
 _parent_specs: tuple = ()
 _parent_seen: dict[str, int] = {}
@@ -343,7 +168,7 @@ def arm_parent_faults(plan: "FaultPlan | None") -> None:
 
 
 def disarm_parent_faults() -> None:
-    """Clear driver-side specs (workers call this at startup post-fork)."""
+    """Clear driver-side specs."""
     global _parent_specs, _parent_seen
     _parent_specs = ()
     _parent_seen = {}
@@ -361,54 +186,26 @@ def fire_parent(op: str) -> None:
     seen = _parent_seen.get(op, 0)
     _parent_seen[op] = seen + 1
     for spec in _parent_specs:
-        if spec.kind == "parentkill" and spec.matches(-1, op, seen):
+        if spec.kind == "parentkill" and spec.matches(op, seen):
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-# -- process-local shared-memory fault counter ----------------------------
-
-_shm_failures = 0
-
-
-def arm_shm_faults(n: int) -> None:
-    """Make the next ``n`` SharedArray creations/attachments fail."""
-    global _shm_failures
-    _shm_failures = max(0, int(n))
-
-
-def disarm_shm_faults() -> None:
-    """Clear the counter (workers call this at startup post-fork)."""
-    global _shm_failures
-    _shm_failures = 0
-
-
 def arm_from(config) -> None:
-    """Arm driver-local faults (shm counter, parent kills, bitrot)."""
+    """Arm driver-local faults (parent kills, bitrot)."""
     plan = plan_from(config)
-    if plan is not None and plan.shm_failures:
-        arm_shm_faults(plan.shm_failures)
     arm_parent_faults(plan)
     arm_bitflip_faults(plan)
-
-
-def consume_shm_fault() -> bool:
-    """True (and decrement) if an armed shm fault should fire now."""
-    global _shm_failures
-    if _shm_failures > 0:
-        _shm_failures -= 1
-        return True
-    return False
 
 
 # -- driver-process bitrot injection ---------------------------------------
 #
 # bitflip specs drill the integrity layer: at the index-th flip
 # opportunity for an artifact class, one bit of that artifact is XORed
-# in place (or in file).  Firing state is process-local to the driver;
-# forked workers disarm it at startup.  Crucially the seen-counter keeps
-# advancing across repair attempts, so a consumed flip does not re-fire
-# on the degraded replay — which is exactly what lets the drill suite
-# assert the repaired output is bitwise-equal to the fault-free run.
+# in place (or in file).  Firing state is process-local to the driver.
+# Crucially the seen-counter keeps advancing across repair attempts, so a
+# consumed flip does not re-fire on the replay — which is exactly what
+# lets the drill suite assert the repaired output is bitwise-equal to the
+# fault-free run.
 
 _bitflip_specs: tuple = ()
 _bitflip_seen: dict[str, int] = {}
@@ -430,7 +227,7 @@ def arm_bitflip_faults(plan: "FaultPlan | None") -> None:
 
 
 def disarm_bitflip_faults() -> None:
-    """Clear bitrot specs (workers call this at startup post-fork)."""
+    """Clear bitrot specs."""
     global _bitflip_specs, _bitflip_seen
     _bitflip_specs = ()
     _bitflip_seen = {}
@@ -443,7 +240,7 @@ def consume_bitflip(artifact: str) -> bool:
     seen = _bitflip_seen.get(artifact, 0)
     _bitflip_seen[artifact] = seen + 1
     return any(
-        spec.kind == "bitflip" and spec.matches(-1, artifact, seen)
+        spec.kind == "bitflip" and spec.matches(artifact, seen)
         for spec in _bitflip_specs
     )
 

@@ -25,35 +25,19 @@ that collisions are rare.
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.parallel.atomics import ContentionStats
-from repro.parallel.shm import SharedArray, ShmDescriptor
 
 __all__ = [
     "ConcurrentEdgeHashTable",
-    "ShardedEdgeHashTable",
-    "ShardJournal",
-    "SHARD_STAT_COLUMNS",
     "pack_edges",
     "unpack_edges",
-    "effective_shard_count",
-    "estimate_table_nbytes",
-    "shard_of_keys",
     "EMPTY_KEY",
 ]
 
 #: Sentinel stored in empty slots.  Valid packed keys are non-negative.
 EMPTY_KEY = np.int64(-1)
-
-#: Guard word bracketing each shared table segment.  Positive (cannot be
-#: mistaken for ``EMPTY_KEY``), and no single bit flip of any other value
-#: this code writes produces it — an intact canary means no neighbor ran
-#: off the end of its mapping into this segment.
-_CANARY = np.int64(0x5AFEC0DE5AFEC0DE)
 
 _MAX_VERTEX = np.int64(2**32 - 1)
 
@@ -275,633 +259,3 @@ class ConcurrentEdgeHashTable:
             probe[unresolved[cont]] += 1
             unresolved = unresolved[cont]
         return found
-
-
-# -- sharded shared-memory table (process backend) -----------------------
-
-#: Per-shard statistics columns recorded by :class:`ShardedEdgeHashTable`.
-#: ``attempts``/``failures`` follow the CAS accounting of
-#: :class:`ConcurrentEdgeHashTable` (claims on empty slots, and claims
-#: that lost a same-slot same-round race within the batch); ``probe_adv``
-#: counts probe-sequence advances past a foreign key (the open-addressing
-#: collision the paper's "collisions are rather rare" claim concerns);
-#: ``inserted`` counts keys written; ``max_probe`` is the longest probe
-#: sequence the shard has seen.
-SHARD_STAT_COLUMNS = ("attempts", "failures", "rounds", "probe_adv", "inserted", "max_probe")
-
-_S_ATTEMPTS, _S_FAILURES, _S_ROUNDS, _S_PROBE_ADV, _S_INSERTED, _S_MAX_PROBE = range(6)
-
-
-def _next_pow2(x: int) -> int:
-    n = 1
-    while n < x:
-        n *= 2
-    return n
-
-
-def effective_shard_count(n_shards: int | None, workers_hint: int) -> int:
-    """The shard count :class:`ShardedEdgeHashTable` will actually use.
-
-    The fused pipeline routes generated keys to their owning workers
-    *before* the table exists (its capacity is only known once the edge
-    count is), so shard geometry must be computable up front.  This
-    mirrors the constructor's sizing rule exactly.
-    """
-    if n_shards is None or n_shards == 0:
-        n_shards = max(8, 4 * max(1, int(workers_hint)))
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    return _next_pow2(int(n_shards))
-
-
-def estimate_table_nbytes(
-    capacity_hint: int, n_shards: int | None = None, workers_hint: int = 1
-) -> int:
-    """Shared-memory bytes :class:`ShardedEdgeHashTable` would allocate.
-
-    Mirrors the constructor's sizing rule exactly (shard count, 4×
-    headroom, power-of-two slots per shard, the stats segment) without
-    allocating anything — the capacity preflight of the process backend
-    uses it to decide whether ``/dev/shm`` can hold the table *before*
-    committing to the shared-memory execution path.
-    """
-    shards = effective_shard_count(n_shards, workers_hint)
-    slots_per_shard = _next_pow2(max(16, -(-4 * max(int(capacity_hint), 1) // shards)))
-    slots_bytes = shards * slots_per_shard * np.dtype(np.int64).itemsize
-    stats_bytes = shards * len(SHARD_STAT_COLUMNS) * np.dtype(np.int64).itemsize
-    # two canary guard words bracket each of the two segments
-    canary_bytes = 4 * np.dtype(np.int64).itemsize
-    return int(slots_bytes + stats_bytes + canary_bytes)
-
-
-def shard_of_keys(keys: np.ndarray, n_shards: int) -> np.ndarray:
-    """Owning shard per key for a table of ``n_shards`` (a power of two).
-
-    Table-free twin of :meth:`ShardedEdgeHashTable.shard_of`, usable
-    while the table itself has not been built yet.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    return (_splitmix64(keys) & np.uint64(n_shards - 1)).astype(np.int64)
-
-
-class ShardedEdgeHashTable:
-    """Shard-partitioned TestAndSet table living in shared memory.
-
-    The slot space is split into ``n_shards`` independent open-addressing
-    sub-tables, all backed by one ``multiprocessing.shared_memory``
-    segment of shape ``(n_shards, slots_per_shard)``.  A key's shard is
-    ``hash(key) % n_shards`` (low bits of the SplitMix64 hash); its probe
-    sequence uses the remaining hash bits, so shard choice and slot
-    choice are independent.  Worker processes attach by
-    :meth:`descriptor` — no pickling of the table — and each shard has a
-    **single writer per phase** (the swap pool routes shard ``s`` to
-    worker ``s % n_workers``), so cross-process slot updates never race.
-
-    Within a batch the per-shard insertion runs the same round-by-round
-    lock-free protocol as :class:`ConcurrentEdgeHashTable` (lowest index
-    wins a contended empty slot, losers retry), which makes the verdicts
-    — "was this key already present in the table or earlier in the
-    batch" — identical to the vectorized engine's and to a serial
-    execution.  Per-shard contention counters (see
-    :data:`SHARD_STAT_COLUMNS`) live in a second shared segment so the
-    parent can aggregate them after workers have run.
-    """
-
-    def __init__(
-        self,
-        capacity_hint: int,
-        *,
-        n_shards: int | None = None,
-        probing: str = "linear",
-        workers_hint: int = 1,
-        arena=None,
-        spill: bool = False,
-        _attach: tuple | None = None,
-    ) -> None:
-        if _attach is not None:
-            slots_desc, stats_desc, probing, n_shards = _attach
-            self.probing = probing
-            self._shm_slots = SharedArray.attach(slots_desc)
-            self._shm_stats = SharedArray.attach(stats_desc)
-            self._owner = False
-        else:
-            if capacity_hint < 0:
-                raise ValueError("capacity_hint must be >= 0")
-            if probing not in ("linear", "quadratic"):
-                raise ValueError(
-                    f"probing must be 'linear' or 'quadratic', got {probing!r}"
-                )
-            self.probing = probing
-            n_shards = effective_shard_count(n_shards, workers_hint)
-            # 4x headroom absorbs the binomial imbalance of hashing keys
-            # across shards; each shard keeps the <=50% load factor of the
-            # flat table with high probability.
-            slots_per_shard = _next_pow2(
-                max(16, -(-4 * max(capacity_hint, 1) // n_shards))
-            )
-            if spill:
-                # file-backed segment mode: slots and counters map a
-                # pid-stamped spill file (MAP_SHARED, so same-host workers
-                # share the pages exactly like a /dev/shm segment) instead
-                # of consuming shared-memory capacity.  The single-writer-
-                # per-shard routing is unchanged, so the atomics
-                # discipline — and every verdict — is identical.
-                from repro.core.storage import FileArray
-
-                segment_cls = FileArray
-            else:
-                segment_cls = SharedArray
-            # flat allocation with one canary guard word at each end; the
-            # 2-D shard geometry is an interior view (see below)
-            self._shm_slots = segment_cls((n_shards * slots_per_shard + 2,), np.int64)
-            self._shm_slots.array.fill(EMPTY_KEY)
-            self._shm_slots.array[0] = _CANARY
-            self._shm_slots.array[-1] = _CANARY
-            try:
-                self._shm_stats = segment_cls(
-                    (n_shards * len(SHARD_STAT_COLUMNS) + 2,), np.int64
-                )
-            except BaseException:
-                self._shm_slots.close()
-                raise
-            self._shm_stats.array.fill(0)
-            self._shm_stats.array[0] = _CANARY
-            self._shm_stats.array[-1] = _CANARY
-            self._owner = True
-            if arena is not None:
-                # pipeline-arena lifecycle: the arena's close() also
-                # releases the table's segments (SharedArray.close is
-                # idempotent, so table.close() remains safe either way)
-                arena.adopt("table_slots", self._shm_slots)
-                arena.adopt("table_stats", self._shm_stats)
-        self.n_shards = int(n_shards)
-        # interior views skip the canary words bracketing each segment
-        self._slots = self._shm_slots.array[1:-1].reshape(self.n_shards, -1)
-        self._stats = self._shm_stats.array[1:-1].reshape(
-            self.n_shards, len(SHARD_STAT_COLUMNS)
-        )
-        self._shard_mask = np.uint64(self.n_shards - 1)
-        self._shard_bits = int(self.n_shards - 1).bit_length()
-        self._slot_mask = np.uint64(self._slots.shape[1] - 1)
-        # process-local CAS-resolution scratch, one entry per shard slot
-        self._claim_scratch = np.full(
-            self._slots.shape[1], np.iinfo(np.int64).max, dtype=np.int64
-        )
-        # optional write-ahead journal (set per worker; see ShardJournal)
-        self._journal: "ShardJournal | None" = None
-
-    # -- lifecycle -------------------------------------------------------
-
-    def descriptor(self) -> tuple[ShmDescriptor, ShmDescriptor, str, int]:
-        """Picklable handle workers use to :meth:`attach`.
-
-        Carries the shard count explicitly: the segments are flat
-        (canary-bracketed), so the 2-D geometry is not recoverable from
-        the mapped shape alone.
-        """
-        return (
-            self._shm_slots.descriptor,
-            self._shm_stats.descriptor,
-            self.probing,
-            self.n_shards,
-        )
-
-    @classmethod
-    def attach(cls, descriptor) -> "ShardedEdgeHashTable":
-        """Map a table created by another process (never unlinks it)."""
-        return cls(0, _attach=tuple(descriptor))
-
-    def close(self) -> None:
-        """Release this process's mapping; the owner also unlinks."""
-        self._slots = None
-        self._stats = None
-        self._shm_slots.close()
-        self._shm_stats.close()
-
-    def __enter__(self) -> "ShardedEdgeHashTable":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def check_canaries(self) -> None:
-        """O(1) integrity probe: assert both segments' guard words.
-
-        A clobbered guard word is evidence that some process wrote past
-        the end of a neighboring mapping into this table's segment —
-        slot contents can no longer be trusted.  Raises
-        :class:`repro.verify.CanaryError`.
-        """
-        for label, flat in (
-            ("table_slots", self._shm_slots.array),
-            ("table_stats", self._shm_stats.array),
-        ):
-            if flat[0] != _CANARY or flat[-1] != _CANARY:
-                from repro.verify import CanaryError
-
-                raise CanaryError(
-                    f"canary word clobbered on shared segment {label!r} "
-                    f"(head={int(flat[0]):#x}, tail={int(flat[-1]):#x}) — "
-                    "out-of-bounds write detected"
-                )
-
-    def set_journal(self, journal: "ShardJournal | None") -> None:
-        """Route slot claims through a write-ahead journal (worker side).
-
-        While a journal is attached, every winner slot is journaled
-        *before* the key is written, so an uncommitted batch can be rolled
-        back to the exact pre-batch shard state after a worker dies
-        mid-insert.  ``None`` detaches.
-        """
-        self._journal = journal
-
-    # -- geometry --------------------------------------------------------
-
-    @property
-    def slots_per_shard(self) -> int:
-        return int(self._slots.shape[1])
-
-    @property
-    def n_slots(self) -> int:
-        """Total slot count across all shards."""
-        return int(self._slots.size)
-
-    @property
-    def size(self) -> int:
-        """Number of keys currently stored (scans the slot array)."""
-        return int(np.count_nonzero(self._slots != EMPTY_KEY))
-
-    def shard_of(self, keys: np.ndarray) -> np.ndarray:
-        """Owning shard id per key: ``hash(key) % n_shards``."""
-        keys = np.asarray(keys, dtype=np.int64)
-        return (_splitmix64(keys) & self._shard_mask).astype(np.int64)
-
-    def _slot_home(self, keys: np.ndarray) -> np.ndarray:
-        """Home slot within the shard (hash bits above the shard bits)."""
-        return _splitmix64(keys) >> np.uint64(self._shard_bits)
-
-    def _probe_offsets(self, r: np.ndarray) -> np.ndarray:
-        if self.probing == "linear":
-            return r.astype(np.uint64)
-        r64 = r.astype(np.uint64)
-        return (r64 * (r64 + np.uint64(1))) >> np.uint64(1)
-
-    # -- statistics ------------------------------------------------------
-
-    @property
-    def per_shard_stats(self) -> dict[str, np.ndarray]:
-        """Copy of the per-shard counters, keyed by column name."""
-        snap = self._stats.copy()
-        return {name: snap[:, i] for i, name in enumerate(SHARD_STAT_COLUMNS)}
-
-    @property
-    def stats(self) -> ContentionStats:
-        """Aggregate CAS contention view (compatible with the flat table)."""
-        s = ContentionStats()
-        s.attempts = int(self._stats[:, _S_ATTEMPTS].sum())
-        s.failures = int(self._stats[:, _S_FAILURES].sum())
-        s.rounds = int(self._stats[:, _S_ROUNDS].sum())
-        return s
-
-    @property
-    def max_probe(self) -> int:
-        return int(self._stats[:, _S_MAX_PROBE].max(initial=0))
-
-    # -- operations ------------------------------------------------------
-
-    def clear(self) -> None:
-        """Empty every shard (contention counters persist, as in the flat
-        table, so per-run totals accumulate across iterations)."""
-        self._slots.fill(EMPTY_KEY)
-
-    def test_and_set(self, keys: np.ndarray) -> np.ndarray:
-        """Insert ``keys``; return per-key "was already present" flags.
-
-        Groups the batch by shard and runs the lock-free round protocol
-        on each shard's slot row.  Safe for concurrent callers **only**
-        when their shard sets are disjoint (the swap pool's ownership
-        routing guarantees this); a single process may always call it on
-        arbitrary keys.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 1:
-            raise ValueError("test_and_set expects a 1-D key array")
-        if keys.size and np.any(keys < 0):
-            raise ValueError("keys must be non-negative (packed edges)")
-        present = np.zeros(len(keys), dtype=bool)
-        if not len(keys):
-            return present
-        shards = self.shard_of(keys)
-        order = np.argsort(shards, kind="stable")
-        sorted_shards = shards[order]
-        boundaries = np.flatnonzero(np.diff(sorted_shards)) + 1
-        for group in np.split(order, boundaries):
-            shard = int(shards[group[0]])
-            present[group] = self._shard_test_and_set(shard, keys[group])
-        return present
-
-    def _shard_test_and_set(self, shard: int, keys: np.ndarray) -> np.ndarray:
-        """Round-by-round TestAndSet on one shard row (single writer)."""
-        n = len(keys)
-        present = np.zeros(n, dtype=bool)
-        row = self._slots[shard]
-        stats_row = self._stats[shard]
-        home = self._slot_home(keys)
-        probe = np.zeros(n, dtype=np.int64)
-        unresolved = np.arange(n)
-        scratch = self._claim_scratch
-
-        max_rounds = 2 * len(row) + 4
-        for _ in range(max_rounds):
-            if len(unresolved) == 0:
-                return present
-            k = keys[unresolved]
-            slot = (
-                (home[unresolved] + self._probe_offsets(probe[unresolved]))
-                & self._slot_mask
-            ).astype(np.int64)
-            existing = row[slot]
-
-            is_mine = existing == k
-            is_empty = existing == EMPTY_KEY
-            is_other = ~is_mine & ~is_empty
-
-            present[unresolved[is_mine]] = True
-
-            claim_idx = unresolved[is_empty]
-            if len(claim_idx):
-                claim_slots = slot[is_empty]
-                np.minimum.at(scratch, claim_slots, claim_idx)
-                won = scratch[claim_slots] == claim_idx
-                scratch[claim_slots] = np.iinfo(np.int64).max
-                stats_row[_S_ATTEMPTS] += len(claim_idx)
-                stats_row[_S_FAILURES] += len(claim_idx) - int(won.sum())
-                stats_row[_S_ROUNDS] += 1
-                winners = claim_idx[won]
-                if self._journal is not None:
-                    # write-ahead: journal the claimed slots before the key
-                    # writes land, so a SIGKILL anywhere past this point
-                    # still rolls back to the pre-batch state
-                    self._journal.record(shard, claim_slots[won])
-                row[claim_slots[won]] = keys[winners]
-                stats_row[_S_INSERTED] += len(winners)
-
-            adv = unresolved[is_other]
-            probe[adv] += 1
-            if len(adv):
-                stats_row[_S_PROBE_ADV] += len(adv)
-                stats_row[_S_MAX_PROBE] = max(
-                    int(stats_row[_S_MAX_PROBE]), int(probe[adv].max())
-                )
-
-            keep = np.zeros(len(unresolved), dtype=bool)
-            keep[is_other] = True
-            if len(claim_idx):
-                keep[np.flatnonzero(is_empty)[~won]] = True
-            unresolved = unresolved[keep]
-        raise RuntimeError(
-            f"hash table shard {shard} full: probing did not terminate "
-            f"(slots_per_shard={self.slots_per_shard})"
-        )
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Membership test without insertion."""
-        keys = np.asarray(keys, dtype=np.int64)
-        n = len(keys)
-        found = np.zeros(n, dtype=bool)
-        if n == 0:
-            return found
-        shards = self.shard_of(keys)
-        home = self._slot_home(keys)
-        probe = np.zeros(n, dtype=np.int64)
-        unresolved = np.arange(n)
-        for _ in range(self.slots_per_shard + 1):
-            if len(unresolved) == 0:
-                break
-            k = keys[unresolved]
-            slot = (
-                (home[unresolved] + self._probe_offsets(probe[unresolved]))
-                & self._slot_mask
-            ).astype(np.int64)
-            existing = self._slots[shards[unresolved], slot]
-            hit = existing == k
-            miss = existing == EMPTY_KEY
-            found[unresolved[hit]] = True
-            cont = ~hit & ~miss
-            probe[unresolved[cont]] += 1
-            unresolved = unresolved[cont]
-        return found
-
-
-# -- per-worker batch replay journal --------------------------------------
-
-_J_STATE, _J_COUNT, _J_SHARDS, _J_LASTSEQ = 0, 1, 2, 3
-_J_HEADER = 4
-
-
-class ShardJournal:
-    """Shared-memory write-ahead journal for one worker's TAS batch.
-
-    Replaying a failed swap or insert batch is only deterministic if the
-    shards the dead worker touched are first restored to their pre-batch
-    state — a batch that half-completed before a SIGKILL would otherwise
-    see its own partial inserts as "already present" on replay.  Each
-    worker owns one journal: before a batch it snapshots the per-shard
-    stats and raises the *active* flag; during the batch every claimed
-    slot is journaled **before** the key is written into it; on success
-    the batch commits (flag drops).  If the supervisor finds the flag
-    still raised after a worker death, :meth:`rollback` clears exactly the
-    journaled slots and restores the worker's shard-stat rows — valid
-    concurrently with other live workers because shard ownership makes
-    the dead worker the sole writer of everything being reverted.
-
-    Layout (one flat int64 shm array)::
-
-        [0]  state     0 = idle/committed, 1 = batch in flight
-        [1]  count     number of journaled entries
-        [2]  n_shards
-        [3]  last_seq  sequence number of the last committed batch
-        [4 : 4 + 6*n_shards]        stats snapshot at batch start
-        [4 + 6*n_shards : ]         entries, packed (shard << 32) | slot,
-                                    framed by CRC words (see below)
-
-    Entry writes land before the count bump, and the count bump before the
-    table's slot writes, so a kill at *any* instruction leaves a journal
-    whose rollback is exact (clearing an empty slot is a no-op).  The
-    ``last_seq`` stamp lets the supervisor distinguish a batch that
-    *committed but whose reply died with the worker* (must **not** be
-    replayed — TestAndSet is not idempotent) from one that never
-    finished (rollback, then replay).
-
-    Each :meth:`record` call additionally appends one *frame* word —
-    bit 63 set (negative, so it can never collide with a packed entry,
-    which is non-negative) carrying the chained CRC-32 of every packed
-    entry written this batch.  :meth:`rollback` verifies the chain frame
-    by frame: a torn or bit-flipped journal region rolls back only its
-    verified prefix and raises :class:`repro.verify.ChecksumError`
-    instead of replaying garbage slots into the shared table.  Because
-    entries+frame land before the count bump, kill-only faults always
-    leave a journal whose visible region is whole frames — a failed CRC
-    means *data* corruption, not a crash artifact.
-    """
-
-    def __init__(
-        self, n_shards: int, capacity: int, *, _attach=None
-    ) -> None:
-        n_cols = len(SHARD_STAT_COLUMNS)
-        if _attach is not None:
-            self._shm = SharedArray.attach(_attach)
-            self._owner = False
-            buf = self._shm.array
-            n_shards = int(buf[_J_SHARDS])
-        else:
-            if n_shards < 1:
-                raise ValueError("n_shards must be >= 1")
-            size = _J_HEADER + n_cols * n_shards + max(1, int(capacity))
-            self._shm = SharedArray((size,), np.int64)
-            buf = self._shm.array
-            buf.fill(0)
-            buf[_J_SHARDS] = n_shards
-            self._owner = True
-        self._buf = buf
-        self.n_shards = int(n_shards)
-        self._stats_lo = _J_HEADER
-        self._stats_hi = _J_HEADER + n_cols * self.n_shards
-        self.capacity = int(len(buf) - self._stats_hi)
-        # chained CRC-32 over this batch's packed entries (writer-local)
-        self._crc = 0
-
-    @property
-    def descriptor(self) -> ShmDescriptor:
-        """Picklable handle workers use to :meth:`attach`."""
-        return self._shm.descriptor
-
-    @classmethod
-    def attach(cls, descriptor) -> "ShardJournal":
-        """Map a journal created by another process (never unlinks it)."""
-        return cls(0, 0, _attach=descriptor)
-
-    @property
-    def active(self) -> bool:
-        """True while an uncommitted batch is in flight."""
-        return bool(self._buf[_J_STATE])
-
-    @property
-    def last_committed(self) -> int:
-        """Sequence number of the most recently committed batch (0 = none)."""
-        return int(self._buf[_J_LASTSEQ])
-
-    def begin(self, table: ShardedEdgeHashTable) -> None:
-        """Open a batch: snapshot stats, reset the entry log, raise flag."""
-        buf = self._buf
-        buf[_J_COUNT] = 0
-        buf[self._stats_lo : self._stats_hi] = table._stats.reshape(-1)
-        buf[_J_STATE] = 1
-        self._crc = 0
-
-    def record(self, shard: int, slots: np.ndarray) -> None:
-        """Journal claimed ``slots`` of ``shard`` (called pre-write).
-
-        Appends the packed entries plus one CRC frame word; see the
-        class docstring for the framing scheme.
-        """
-        buf = self._buf
-        if not buf[_J_STATE] or not len(slots):
-            return
-        count = int(buf[_J_COUNT])
-        if count + len(slots) + 1 > self.capacity:
-            raise RuntimeError(
-                f"shard journal overflow ({count + len(slots) + 1} > {self.capacity})"
-            )
-        packed = (np.int64(shard) << np.int64(32)) | slots.astype(np.int64)
-        self._crc = zlib.crc32(np.ascontiguousarray(packed).tobytes(), self._crc)
-        lo = self._stats_hi + count
-        buf[lo : lo + len(packed)] = packed
-        # frame word: bit 63 marks it; low bits carry the chained CRC
-        buf[lo + len(packed)] = np.int64(self._crc - 2**63)
-        buf[_J_COUNT] = count + len(packed) + 1
-
-    def commit(self, seq: int = 0) -> None:
-        """Close the batch: its inserts are now permanent.
-
-        ``seq`` is the parent-assigned batch sequence number; stamping it
-        *before* dropping the active flag means a kill between the two
-        writes is read as "still in flight" (rolled back and replayed),
-        never as "committed" with a stale stamp.
-        """
-        self._buf[_J_LASTSEQ] = seq
-        self._buf[_J_STATE] = 0
-        self._buf[_J_COUNT] = 0
-
-    def rollback(self, table: ShardedEdgeHashTable, shards=None) -> bool:
-        """Undo an uncommitted batch; returns True if one was undone.
-
-        ``shards`` limits which shard-stat rows are restored from the
-        snapshot — pass the dead worker's owned shards when other workers
-        are live (their rows have since advanced legitimately); ``None``
-        restores every row (safe only with no concurrent writers).
-
-        Verifies the CRC frame chain before trusting any entry.  On a
-        mismatch the *verified prefix* is rolled back (those entries are
-        provably intact), the flag drops, and
-        :class:`repro.verify.ChecksumError` is raised — the garbled
-        suffix is quarantined rather than replayed into the table.
-        """
-        buf = self._buf
-        if not buf[_J_STATE]:
-            return False
-        count = int(buf[_J_COUNT])
-        bad: str | None = None
-        verified_hi = 0
-        if count:
-            entries = buf[self._stats_hi : self._stats_hi + count]
-            frames = np.flatnonzero(entries < 0)
-            crc = 0
-            for f in frames:
-                seg = entries[verified_hi : int(f)]
-                crc = zlib.crc32(np.ascontiguousarray(seg).tobytes(), crc)
-                stored = int(entries[int(f)]) + 2**63
-                if stored != crc:
-                    bad = (
-                        f"journal frame at entry {int(f)} fails CRC "
-                        f"(stored {stored:#010x}, computed {crc:#010x})"
-                    )
-                    break
-                verified_hi = int(f) + 1
-            if bad is None and verified_hi != count:
-                bad = (
-                    f"journal tail of {count - verified_hi} entr(ies) has no "
-                    "closing CRC frame"
-                )
-            good = entries[:verified_hi]
-            packed = good[good >= 0]
-            if len(packed):
-                e_shards = (packed >> np.int64(32)).astype(np.int64)
-                e_slots = (packed & np.int64(0xFFFFFFFF)).astype(np.int64)
-                table._slots[e_shards, e_slots] = EMPTY_KEY
-        n_cols = len(SHARD_STAT_COLUMNS)
-        snap = buf[self._stats_lo : self._stats_hi].reshape(self.n_shards, n_cols)
-        if shards is None:
-            table._stats[:, :] = snap
-        else:
-            idx = np.asarray(sorted(shards), dtype=np.int64)
-            if len(idx):
-                table._stats[idx, :] = snap[idx, :]
-        buf[_J_STATE] = 0
-        buf[_J_COUNT] = 0
-        if bad is not None:
-            from repro.verify import ChecksumError
-
-            raise ChecksumError(f"shard journal corrupt: {bad}")
-        return True
-
-    def close(self) -> None:
-        """Release this process's mapping; the owner also unlinks."""
-        self._buf = None
-        self._shm.close()
-
-    def __enter__(self) -> "ShardJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

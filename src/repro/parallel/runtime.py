@@ -8,24 +8,20 @@ Every parallel entry point in the library accepts a
   would, and the cost model uses it to turn work accounting into
   simulated p-thread time.
 - ``backend`` — ``"vectorized"`` (default; numpy kernels executing the
-  parallel round structure), ``"serial"`` (straight-line reference
-  implementations used for validation), or ``"process"``
-  (``multiprocessing`` over shared memory; true parallelism, useful on
-  multi-core hosts).
+  parallel round structure) or ``"serial"`` (straight-line reference
+  implementations used for validation).
 - ``seed`` — base seed for reproducible per-thread streams.
 
 The module also provides the static chunk partitioner shared by all
-parallel loops, equivalent to OpenMP's ``schedule(static)``.
+parallel loops, equivalent to OpenMP's ``schedule(static)``, and
+:func:`chunk_map`, which runs a kernel over that partition with one
+random stream per chunk.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,12 +31,11 @@ __all__ = [
     "ParallelConfig",
     "chunk_bounds",
     "chunk_views",
+    "chunk_map",
     "BACKENDS",
-    "get_executor",
-    "shutdown_executors",
 ]
 
-BACKENDS = ("vectorized", "serial", "process")
+BACKENDS = ("vectorized", "serial")
 
 
 @dataclass(frozen=True)
@@ -54,55 +49,14 @@ class ParallelConfig:
         parameterizes the cost model.  Defaults to 16, matching the
         single-node core count used throughout the paper's evaluation.
     backend:
-        One of ``"vectorized"``, ``"serial"``, ``"process"``.
+        One of ``"vectorized"``, ``"serial"``.
     seed:
         Base seed; ``None`` draws fresh entropy.
-    shards:
-        Shard count for the process backend's shared-memory hash table
-        (rounded up to a power of two).  ``0`` (default) auto-sizes to
-        ``max(8, 4 * threads)`` so shard ownership spreads evenly across
-        the worker processes.
-    processes:
-        Physical worker-process count for the fused process pipeline.
-        ``0`` (default) auto-clamps ``threads`` to the host core count.
-        Distinct from ``threads``: the logical thread count pins down
-        the reproducible partitioning (chunk seeds, shard geometry),
-        while ``processes`` only decides how many OS processes execute
-        it — results are identical for any value.
-    max_worker_restarts:
-        Fault-tolerance budget of the process backend's supervised pool:
-        how many dead or hung workers may be respawned (with their batch
-        rolled back and deterministically replayed) before the run
-        degrades to the bitwise-identical vectorized backend.
-    batch_deadline:
-        Optional per-batch wall-clock deadline in seconds for the
-        supervised pool.  A batch exceeding it marks its workers as hung;
-        they are SIGKILLed and recovered like dead workers.  ``None``
-        (default) disables the deadline (worker *death* is still
-        detected by the liveness probe).  Set it well above the
-        worst-case batch time for the workload.
     faults:
         Deterministic fault-injection plan for tests and drills (see
         :mod:`repro.parallel.faultinject`); empty string (default) means
         the plan comes from the ``REPRO_FAULTS`` environment variable,
         if set.  Production runs leave both unset.
-    batch_size:
-        Maximum keys per TestAndSet exchange round for the process
-        backend.  ``0`` (default) sizes the exchange buffers to the full
-        edge count (one round per batch, the historical behavior); a
-        smaller value bounds shared-memory use and splits oversized
-        batches into sequential sub-batches.  Verdicts are unaffected
-        (first-occurrence semantics hold across sequential sub-batches);
-        only the contention accounting differs.
-    autotune:
-        When ``True``, the process backend re-plans workers, shards, and
-        batch size from first-batch observations (see
-        :mod:`repro.parallel.autotune`), recording each decision as a
-        ``tune.replan`` trace event.  Outputs are bitwise-identical to a
-        static run with the same seed; only execution geometry changes.
-        Pin any of ``processes``/``shards``/``batch_size`` to a non-zero
-        value to opt that knob out of tuning.  No-op for the
-        ``vectorized``/``serial`` backends.
     store:
         Backing store for the big per-run arrays (edge endpoints, packed
         table keys, swapped flags): ``"ram"`` (plain arrays, the
@@ -114,13 +68,12 @@ class ParallelConfig:
     memory_budget_bytes:
         Approximate RAM budget for a run's persistent arrays.  ``0``
         (default) means unlimited (``"auto"`` never spills).  A positive
-        budget drives the ``"auto"`` store choice, the windowed-swap
-        window size, and hash-table spill (see
-        :func:`repro.parallel.autotune.plan_storage`).
+        budget drives the ``"auto"`` store choice and the windowed-swap
+        window size (see :func:`repro.core.storage.plan_storage`).
     verify:
         Integrity-verification tier (see :mod:`repro.verify`): ``"off"``
         (default; no added checks), ``"cheap"`` (O(m) invariant checks at
-        phase boundaries, canary words, spill-window CRCs), or ``"full"``
+        phase boundaries, spill-window CRCs), or ``"full"``
         (additionally proves simplicity via sorted packed keys and
         table-vs-edge-array consistency after every registration).
         Verification never changes outputs — it only detects corruption
@@ -130,13 +83,7 @@ class ParallelConfig:
     threads: int = 16
     backend: str = "vectorized"
     seed: object = None
-    shards: int = 0
-    processes: int = 0
-    max_worker_restarts: int = 2
-    batch_deadline: float | None = None
     faults: str = ""
-    batch_size: int = 0
-    autotune: bool = False
     store: str = "auto"
     memory_budget_bytes: int = 0
     verify: str = "off"
@@ -148,20 +95,6 @@ class ParallelConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.shards < 0:
-            raise ValueError(f"shards must be >= 0, got {self.shards}")
-        if self.processes < 0:
-            raise ValueError(f"processes must be >= 0, got {self.processes}")
-        if self.max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, got {self.max_worker_restarts}"
-            )
-        if self.batch_deadline is not None and self.batch_deadline <= 0:
-            raise ValueError(
-                f"batch_deadline must be positive or None, got {self.batch_deadline}"
-            )
-        if self.batch_size < 0:
-            raise ValueError(f"batch_size must be >= 0, got {self.batch_size}")
         if self.store not in ("auto", "ram", "mmap"):
             raise ValueError(
                 f"store must be one of ('auto', 'ram', 'mmap'), got {self.store!r}"
@@ -221,46 +154,25 @@ def chunk_views(array: np.ndarray, chunks: int) -> Iterator[np.ndarray]:
         yield array[bounds[k] : bounds[k + 1]]
 
 
-# -- persistent process-pool runtime -------------------------------------
-#
-# Spinning up a ProcessPoolExecutor costs a fork + pipe setup per worker;
-# paying that on every kernel call swamps the kernels themselves.  The
-# registry below keeps one executor alive per worker count, shared by all
-# process-backend entry points, created on first use and torn down at
-# interpreter exit (or explicitly via shutdown_executors, which the tests
-# use to assert lifecycle behavior).
+def chunk_map(
+    kernel: Callable[..., np.ndarray],
+    n: int,
+    config: ParallelConfig,
+    *shared_args,
+) -> list[np.ndarray]:
+    """Run ``kernel(lo, hi, seed, *shared_args)`` over a static partition.
 
-_EXECUTORS: dict[int, ProcessPoolExecutor] = {}
-_EXECUTORS_LOCK = threading.Lock()
-
-
-def get_executor(workers: int) -> ProcessPoolExecutor:
-    """Return the persistent process pool for ``workers`` workers.
-
-    The pool is created lazily, cached per worker count, and reused by
-    every subsequent call — ``backend="process"`` kernels across a whole
-    run share the same OS processes.  A pool that died (e.g. a worker was
-    killed) is replaced transparently.
+    The index range ``[0, n)`` is split into ``config.threads`` chunks
+    and each chunk gets a seed spawned from ``config.seed``, so the
+    output depends on the logical thread count and the seed only.
+    Returns the per-chunk result arrays in chunk order; empty chunks are
+    skipped.
     """
-    workers = max(1, min(int(workers), os.cpu_count() or 1))
-    with _EXECUTORS_LOCK:
-        pool = _EXECUTORS.get(workers)
-        if pool is not None and getattr(pool, "_broken", False):
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            _EXECUTORS[workers] = pool
-        return pool
-
-
-def shutdown_executors() -> None:
-    """Tear down every cached process pool (also runs at exit)."""
-    with _EXECUTORS_LOCK:
-        pools = list(_EXECUTORS.values())
-        _EXECUTORS.clear()
-    for pool in pools:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-atexit.register(shutdown_executors)
+    p = config.threads
+    bounds = chunk_bounds(n, p)
+    seeds = [int(g.integers(0, 2**63)) for g in spawn_generators(config.seed, p)]
+    return [
+        kernel(int(bounds[k]), int(bounds[k + 1]), seeds[k], *shared_args)
+        for k in range(p)
+        if bounds[k + 1] > bounds[k]
+    ]

@@ -4,9 +4,8 @@ The paper frames fast null-model generation as a statistical primitive;
 real analyses draw *many* samples from the same ensemble — a workload
 shaped like a service.  This package is the long-lived front-end over
 the existing pipeline: an asyncio broker with admission control, bounded
-priority queues, deadlines, retry budgets, a circuit breaker over the
-bitwise-identical execution ladder, graceful SIGTERM drain, and a
-content-addressed single-flight result cache keyed by the checkpoint
+priority queues, deadlines, retry budgets, graceful SIGTERM drain, and
+a content-addressed single-flight result cache keyed by the checkpoint
 run fingerprint.
 
 Import explicitly (``from repro.serve import Broker``) — like
@@ -15,7 +14,7 @@ Import explicitly (``from repro.serve import Broker``) — like
 See ``docs/serving.md`` for the architecture and failure model.
 """
 
-from repro.serve.broker import Broker, CircuitBreaker, ServeConfig
+from repro.serve.broker import Broker, ServeConfig
 from repro.serve.cache import CachedResult, ResultCache
 from repro.serve.client import Runner, RunnerConfig, RunnerStats, ServeClient
 from repro.serve.jobs import (
@@ -32,7 +31,6 @@ from repro.serve.jobs import (
 
 __all__ = [
     "Broker",
-    "CircuitBreaker",
     "ServeConfig",
     "CachedResult",
     "ResultCache",

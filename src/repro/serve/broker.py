@@ -8,14 +8,12 @@ admission → bounded priority queues → dispatchers → worker threads
 
 Threading model
 ---------------
-Everything stateful — queues, the single-flight table, the cache, the
-circuit breaker, metrics and trace emission — is touched **only from the
-event-loop thread**.  Worker threads (a ``ThreadPoolExecutor``) run the
-CPU-bound pipeline and nothing else, with tracing suppressed
+Everything stateful — queues, the single-flight table, the cache,
+metrics and trace emission — is touched **only from the event-loop
+thread**.  Worker threads (a ``ThreadPoolExecutor``) run the CPU-bound
+pipeline and nothing else, with tracing suppressed
 (:func:`repro.obs.trace.suppressed`) so the loop thread keeps exclusive
-ownership of the trace's span stack and JSONL handle.  The pipeline
-itself fans out to *processes* under ``backend="process"``, so the GIL
-only serializes the thin numpy-free coordination layer.
+ownership of the trace's span stack and JSONL handle.
 
 Failure model
 -------------
@@ -31,14 +29,9 @@ Failure model
 - **Retries** re-run a failed attempt with exponential backoff and
   deterministic jitter, up to the job's budget; the budget exhausting
   yields :class:`RetriesExhaustedError` carrying the last error.
-- **The circuit breaker** watches consecutive failures/degradations and
-  steps *new* work down the bitwise-identical execution ladder (fused →
-  phased → vectorized) instead of failing requests; after a cooldown it
-  probes one rung back up.  Because every rung produces the same bits,
-  the breaker changes execution topology, never results.
 - **Drain** (SIGTERM or :meth:`Broker.drain`) stops admitting, finishes
   in-flight jobs, persists still-queued specs to
-  ``drain_dir/pending-jobs.json`` (atomic write), reaps stale shm/spill/
+  ``drain_dir/pending-jobs.json`` (atomic write), reaps stale spill and
   checkpoint artifacts, and resolves abandoned waiters with typed
   errors.  A restarted broker resubmits the persisted specs.
 """
@@ -61,12 +54,10 @@ import numpy as np
 from repro.core.checkpoint import reap_stale_checkpoints
 from repro.core.generate import generate_graph
 from repro.core.storage import reap_stale_spill
-from repro.core.swap import SwapStats, swap_edges
+from repro.core.swap import swap_edges
 from repro.graph.edgelist import EdgeList
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import Metrics
-from repro.parallel import shm
-from repro.parallel.mp_backend import PoolFaultError
 from repro.parallel.runtime import ParallelConfig
 from repro.serve.cache import CachedResult, ResultCache
 from repro.serve.jobs import (
@@ -82,39 +73,25 @@ from repro.serve.jobs import (
 )
 from repro.verify import IntegrityError
 
-__all__ = ["ServeConfig", "CircuitBreaker", "Broker", "PENDING_JOBS_FILE"]
+__all__ = ["ServeConfig", "Broker", "PENDING_JOBS_FILE"]
 
 #: drain checkpoint filename under ``ServeConfig.drain_dir``
 PENDING_JOBS_FILE = "pending-jobs.json"
 
-#: execution-ladder rungs the breaker steps down: 0 = as configured
-#: (fused for the process backend), 1 = phased composition, 2 = the
-#: vectorized engine for swap jobs (whose output is bitwise-identical
-#: across backends); generate jobs stay on the phased composition at
-#: rung 2 — their generation phase is bitwise-stable only within the
-#: process backend's own ladder (fused == phased == inline chunk
-#: replay), and :func:`~repro.core.generate.generate_graph` already
-#: degrades the swap tail to the vectorized engine internally when its
-#: pool fails.  Every rung a given job can land on produces its rung-0
-#: bits.
-LADDER = ("fused", "phased", "vectorized")
-
-#: attempt errors worth retrying: pool supervision gave up, the OS took
-#: away shared memory / file descriptors, an allocation failed, or a
-#: verification tier detected corruption the pipeline's own repair
-#: ladder could not absorb — all plausibly transient on a loaded host,
-#: and a clean re-run *is* the repair for detected corruption (every
-#: execution path reproduces the same bits).  Admission and deadline
-#: errors are never retried.
-RETRYABLE = (PoolFaultError, OSError, MemoryError, IntegrityError)
+#: attempt errors worth retrying: the OS took away disk space / file
+#: descriptors, an allocation failed, or a verification tier detected
+#: corruption the pipeline's own checkpoint replay could not absorb —
+#: all plausibly transient on a loaded host, and a clean re-run *is* the
+#: repair for detected corruption (every run reproduces the same bits).
+#: Admission and deadline errors are never retried.
+RETRYABLE = (OSError, MemoryError, IntegrityError)
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Broker tuning knobs (all bounded-by-construction)."""
 
-    #: worker threads running pipeline jobs (each may fan out to
-    #: processes per ``parallel``)
+    #: worker threads running pipeline jobs
     workers: int = 2
     #: total queued-job bound across all priorities; admission sheds
     #: beyond it
@@ -131,10 +108,6 @@ class ServeConfig:
     #: deterministic jitter in [0.5, 1.0)
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    #: consecutive failures/degradations before the breaker steps down a rung
-    breaker_threshold: int = 3
-    #: seconds a tripped breaker waits before probing a rung back up
-    breaker_cooldown: float = 30.0
     #: result-cache bounds
     cache_entries: int = 128
     cache_bytes: int = 256 << 20
@@ -148,67 +121,9 @@ class ServeConfig:
     #: no mid-run durability); a resubmitted job resumes its own store
     checkpoint_root: str | None = None
     checkpoint_every: int = 0
-    #: test hook replacing the pipeline call: ``run_fn(job, config, rung)``
+    #: test hook replacing the pipeline call: ``run_fn(job, config)``
     #: returning an :class:`EdgeList` or ``(EdgeList, stats_dict)``
     run_fn: object = None
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker over the execution ladder.
-
-    ``record(rung, ok=..., degraded=...)`` feeds it attempt outcomes;
-    ``rung()`` answers which rung *new* work should start on.  A clean
-    run that was already forced to degrade mid-flight (the pipeline's own
-    internal ladder) counts as a failure signal: the breaker's job is to
-    stop sending new work down a path that keeps falling over.  After
-    ``cooldown`` seconds at an elevated rung, the next job probes one
-    rung up; its outcome decides whether the breaker steps down or
-    re-arms the cooldown.
-    """
-
-    def __init__(self, threshold: int = 3, cooldown: float = 30.0, *,
-                 clock=time.monotonic) -> None:
-        self.threshold = max(1, int(threshold))
-        self.cooldown = float(cooldown)
-        self.clock = clock
-        self.trips = 0
-        self._rung = 0
-        self._consecutive = 0
-        self._since = 0.0
-
-    @property
-    def level(self) -> int:
-        """The breaker's resting rung (ignoring half-open probes)."""
-        return self._rung
-
-    def rung(self) -> int:
-        """Rung for the next attempt; one up the ladder when half-open."""
-        if self._rung > 0 and self.clock() - self._since >= self.cooldown:
-            return self._rung - 1
-        return self._rung
-
-    def record(self, rung: int, *, ok: bool, degraded: bool = False) -> bool:
-        """Feed one attempt's outcome; returns True when the breaker trips."""
-        if ok and not degraded:
-            self._consecutive = 0
-            if rung < self._rung:
-                # successful half-open probe: adopt the healthier rung
-                self._rung = rung
-                self._since = self.clock()
-            return False
-        self._consecutive += 1
-        if rung < self._rung:
-            # failed probe: stay degraded, restart the cooldown
-            self._since = self.clock()
-            self._consecutive = 0
-            return False
-        if self._consecutive >= self.threshold and self._rung < len(LADDER) - 1:
-            self._rung += 1
-            self._consecutive = 0
-            self._since = self.clock()
-            self.trips += 1
-            return True
-        return False
 
 
 class _Inflight:
@@ -248,9 +163,6 @@ class Broker:
         self.cache = ResultCache(
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
-        )
-        self.breaker = CircuitBreaker(
-            self.config.breaker_threshold, self.config.breaker_cooldown
         )
         self.metrics = Metrics()
         self._queues: dict[str, deque[_Inflight]] = {
@@ -539,20 +451,17 @@ class Broker:
         try:
             while True:
                 inf.attempts += 1
-                rung = self.breaker.rung()
                 t0 = time.monotonic()
                 try:
                     graph, stats = await self._loop.run_in_executor(
-                        self._executor, self._run_job, job, cfg, rung
+                        self._executor, self._run_job, job, cfg
                     )
                 except RETRYABLE as exc:
                     last = exc
                     self._count("serve.attempt_failures")
-                    if self.breaker.record(rung, ok=False):
-                        self._breaker_trip()
                     if inf.attempts > budget:
                         self._count("serve.failed")
-                        self._job_span(inf, outcome="failed", rung=rung)
+                        self._job_span(inf, outcome="failed")
                         self._resolve_error(
                             inf,
                             RetriesExhaustedError(
@@ -582,17 +491,13 @@ class Broker:
                     raise
                 except Exception as exc:  # non-retryable: fail fast
                     self._count("serve.failed")
-                    self._job_span(inf, outcome="error", rung=rung)
+                    self._job_span(inf, outcome="error")
                     self._resolve_error(inf, exc)
                     return
                 run_seconds = time.monotonic() - t0
                 degraded = bool(stats.get("degraded"))
-                if self.breaker.record(rung, ok=True, degraded=degraded):
-                    self._breaker_trip()
                 stats.update(
                     attempts=inf.attempts,
-                    rung=rung,
-                    ladder=LADDER[rung],
                     run_seconds=run_seconds,
                     kind=job.kind,
                 )
@@ -606,7 +511,7 @@ class Broker:
                     )
                 )
                 self._job_span(
-                    inf, outcome="ok", rung=rung, degraded=degraded,
+                    inf, outcome="ok", degraded=degraded,
                     edges=int(cached.graph().m),
                 )
                 self._inflight.pop(job.fingerprint, None)
@@ -617,22 +522,14 @@ class Broker:
             self._running -= 1
             self._gauges()
 
-    def _run_job(self, job: Job, cfg: ParallelConfig, rung: int):
+    def _run_job(self, job: Job, cfg: ParallelConfig):
         """Worker-thread body: the actual pipeline call, tracing suppressed.
 
-        Returns ``(EdgeList, stats_dict)``.  ``rung`` applies the
-        breaker's ladder position: 1 forces the phased composition,
-        2 forces the vectorized reference engine — both produce the same
-        bits as rung 0.
+        Returns ``(EdgeList, stats_dict)``.
         """
         with obs_trace.suppressed():
-            if rung >= 2 and cfg.backend == "process" and job.kind == "swap":
-                # only the swap engine is bitwise-identical across
-                # backends; generate jobs keep the process kernels and
-                # rely on the pipeline's internal (also bitwise) ladder
-                cfg = replace(cfg, backend="vectorized")
             if self.config.run_fn is not None:
-                out = self.config.run_fn(job, cfg, rung)
+                out = self.config.run_fn(job, cfg)
                 if isinstance(out, tuple):
                     graph, stats = out
                     return graph, dict(stats)
@@ -643,7 +540,6 @@ class Broker:
                     job.dist,
                     swap_iterations=job.spec.swap_iterations,
                     config=cfg,
-                    pipeline=(False if rung == 1 else None),
                     checkpoint_dir=ckpt_dir,
                     checkpoint_every=(
                         self.config.checkpoint_every if ckpt_dir else 0
@@ -654,18 +550,10 @@ class Broker:
                     "edges": int(graph.m),
                     "degraded": bool(report.degraded),
                     "resumed": bool(report.resumed),
-                    "fused": bool(report.fused),
                     "faults": len(report.faults),
                 }
-            stats = SwapStats()
-            out = swap_edges(
-                job.graph, job.spec.swap_iterations, cfg, stats=stats
-            )
-            return out, {
-                "edges": int(out.m),
-                "degraded": bool(stats.degraded),
-                "faults": len(stats.faults),
-            }
+            out = swap_edges(job.graph, job.spec.swap_iterations, cfg)
+            return out, {"edges": int(out.m)}
 
     def _checkpoint_paths(self, job: Job):
         """Per-fingerprint checkpoint store dir (+ resume source if present)."""
@@ -727,10 +615,8 @@ class Broker:
     # -- stale-artifact reaping (satellite: long-lived server hygiene) -----
 
     def _reap(self) -> dict:
-        """One sweep of shm segments, spill files, checkpoint stores."""
-        swept = {"shm": 0, "spill": 0, "checkpoints": 0}
-        with contextlib.suppress(OSError):
-            swept["shm"] = len(shm.reap_stale())
+        """One sweep of spill files and checkpoint stores."""
+        swept = {"spill": 0, "checkpoints": 0}
         with contextlib.suppress(OSError):
             swept["spill"] = len(reap_stale_spill())
         if self.config.checkpoint_root:
@@ -761,13 +647,6 @@ class Broker:
             # all deadlines fired); mark the exception retrieved so the
             # loop doesn't log a phantom "never retrieved" warning
             inf.future.exception()
-
-    def _breaker_trip(self) -> None:
-        self._count("serve.breaker_trips")
-        self._event(
-            "serve.breaker", level=self.breaker.level,
-            ladder=LADDER[self.breaker.level],
-        )
 
     def _job_span(self, inf: _Inflight, **attrs) -> None:
         if self._tr is not None:
@@ -802,8 +681,6 @@ class Broker:
             "runs": self._runs,
             "inflight": len(self._inflight),
             "draining": self._draining,
-            "breaker_level": self.breaker.level,
-            "breaker_trips": self.breaker.trips,
             "cache": self.cache.snapshot(),
             "counters": {
                 k: v for k, v in self.metrics.counters.items()

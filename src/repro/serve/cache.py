@@ -3,9 +3,9 @@
 Keys are run fingerprints (see :mod:`repro.serve.jobs`): the digest of
 everything output-affecting — input digest, seed, iteration count,
 logical thread count.  Because every execution path the broker can take
-for a given fingerprint produces the same bits (fused/phased/replay for
-generation, every backend for swap — the property PRs 1–7 defend with
-golden tests), a cached result is *the* result: serving it is
+for a given fingerprint produces the same bits (a fresh run or a
+checkpoint replay on the broker's one configured backend — the property
+the golden tests defend), a cached result is *the* result: serving it is
 indistinguishable from rerunning the pipeline, so the cache needs no
 invalidation story beyond capacity.
 
@@ -45,7 +45,7 @@ class CachedResult:
     u: np.ndarray
     v: np.ndarray
     n: int
-    #: producing-run stats (edges, attempts, run_seconds, rung, …)
+    #: producing-run stats (edges, attempts, run_seconds, …)
     stats: dict = field(default_factory=dict)
     #: content digest over ``u`` then ``v`` (stamped at construction)
     digest: int = 0

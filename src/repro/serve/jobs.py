@@ -32,9 +32,8 @@ cache, single-flight table, and on-disk checkpoint stores all key the
 same identity: under the broker's fixed backend, two requests share a
 fingerprint precisely when their uninterrupted runs would be
 bitwise-identical.  (The digest deliberately excludes the backend,
-matching the checkpoint-resume semantic; a broker never mixes backends
-for the same kind of work — the breaker's ladder only takes rungs that
-reproduce rung-0 bits.)
+matching the checkpoint-resume semantic; a broker runs every job on its
+one configured backend.)
 """
 
 from __future__ import annotations
@@ -231,7 +230,7 @@ class JobResult:
     attempts: int = 1
     #: end-to-end seconds this caller waited
     total_seconds: float = 0.0
-    #: producing run's stats (edges, run_seconds, rung, degraded, …)
+    #: producing run's stats (edges, run_seconds, degraded, …)
     run: dict = field(default_factory=dict)
 
 

@@ -2,25 +2,23 @@
 
 The paper's output contract is exact: a *simple* graph (no self loops,
 no multi-edges — the whole reason the TestAndSet hash table exists)
-realizing the prescribed degree sequence bit for bit.  The supervision
-machinery of :mod:`repro.parallel.mp_backend` and the checkpoint layer
-make the stack survive crashes, but a crash is the *benign* failure
-mode: a silently flipped bit in a shared-memory segment, spill file,
-journal, checkpoint payload, or cached result produces a structurally
-wrong graph that every downstream null-model inference then trusts.
-This module is the detection side of the integrity story; the repair
-side reuses the bitwise degradation ladder and the checkpoint resume
-machinery (every rung and every resumed run reproduces the fault-free
-output exactly, so "repair" means "recompute from a validated state").
+realizing the prescribed degree sequence bit for bit.  The checkpoint
+layer makes the stack survive crashes, but a crash is the *benign*
+failure mode: a silently flipped bit in the hash table, a spill file, a
+checkpoint payload, or a cached result produces a structurally wrong
+graph that every downstream null-model inference then trusts.  This
+module is the detection side of the integrity story; the repair side
+reuses the checkpoint resume machinery (every resumed run reproduces
+the fault-free output exactly, so "repair" means "recompute from a
+validated state").
 
 Three tiers, selected by ``ParallelConfig.verify`` (and per-job by
 ``JobSpec.verify``):
 
 - ``"off"`` (default) — no checks beyond the ones that were always on
-  (checkpoint SHA-256, journal commit protocol);
+  (checkpoint SHA-256, cached-result digests);
 - ``"cheap"`` — O(m) invariant checks at phase boundaries (endpoint
-  bounds, no self loops, realized degree sequence == target) plus O(1)
-  canary-word checks on shared table segments every iteration and
+  bounds, no self loops, realized degree sequence == target) plus
   per-window CRC checks on spill-backed arrays;
 - ``"full"`` — everything above plus the O(m log m) checks: duplicate
   edges via sorted packed keys and table-vs-edge-array consistency
@@ -44,7 +42,6 @@ __all__ = [
     "IntegrityError",
     "GraphIntegrityError",
     "ChecksumError",
-    "CanaryError",
     "check_tier",
     "chained_crc",
     "verify_graph",
@@ -59,8 +56,8 @@ class IntegrityError(RuntimeError):
     """Base of the typed corruption family.
 
     Every detector in the data plane raises a subclass of this, so
-    callers can quarantine-and-repair (degrade a backend, reload a
-    checkpoint, evict a cache entry) with one ``except`` clause while
+    callers can quarantine-and-repair (reload a checkpoint, evict a
+    cache entry) with one ``except`` clause while
     ordinary programming errors still propagate as themselves.
     """
 
@@ -71,13 +68,8 @@ class GraphIntegrityError(IntegrityError):
 
 
 class ChecksumError(IntegrityError):
-    """A framed digest does not match its data (journal frame, spill
-    window, cached result)."""
-
-
-class CanaryError(IntegrityError):
-    """A guard word bracketing a shared-memory segment was clobbered —
-    evidence of an out-of-bounds write by a sibling process."""
+    """A framed digest does not match its data (spill window, cached
+    result)."""
 
 
 def check_tier(tier: str) -> str:
@@ -208,7 +200,7 @@ def verify_table_registration(table, keys: np.ndarray, *, label: str = "table") 
             raise _violation(
                 label,
                 f"table holds {len(live)} key(s) but the edge array packs "
-                f"{len(want)}; contents diverge — shared segment corrupted",
+                f"{len(want)}; contents diverge — table corrupted",
                 metric="integrity.table_violations",
             )
 

@@ -2,11 +2,10 @@
 
 The out-of-core engine's contract is that the backing store changes
 *where* bytes live, never what they are: for a fixed seed and config,
-the mmap-backed run of every phase — fused and phased, on every backend
-— reproduces the in-RAM run's edge arrays bit for bit.  The matrix here
-is the enforcement: (serial | vectorized | process) × (fused | phased) ×
-(ram | mmap forced | auto under a tiny budget), all compared against the
-ram baseline of the same cell.
+the mmap-backed run of every phase, on either backend, reproduces the
+in-RAM run's edge arrays bit for bit.  The matrix here is the
+enforcement: (serial | vectorized) × (ram | mmap forced | auto under a
+tiny budget), all compared against the ram baseline of the same cell.
 """
 
 import os
@@ -36,10 +35,8 @@ STORES = (
 
 
 class TestCrossStoreMatrix:
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "process"])
-    @pytest.mark.parametrize("pipeline", [True, False],
-                             ids=["fused", "phased"])
-    def test_store_never_changes_the_graph(self, backend, pipeline):
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_store_never_changes_the_graph(self, backend):
         dist = _dist()
         baseline = None
         for store, budget in STORES:
@@ -47,21 +44,17 @@ class TestCrossStoreMatrix:
                 threads=2, backend=backend, seed=5,
                 store=store, memory_budget_bytes=budget,
             )
-            out, report = generate_graph(
-                dist, swap_iterations=2, config=cfg, pipeline=pipeline,
-            )
+            out, report = generate_graph(dist, swap_iterations=2, config=cfg)
             if baseline is None:
                 baseline = out
                 continue
             np.testing.assert_array_equal(
                 np.asarray(out.u), np.asarray(baseline.u),
-                err_msg=f"{backend}/{'fused' if pipeline else 'phased'}/"
-                        f"{store}: u diverged from the ram baseline",
+                err_msg=f"{backend}/{store}: u diverged from the ram baseline",
             )
             np.testing.assert_array_equal(
                 np.asarray(out.v), np.asarray(baseline.v),
-                err_msg=f"{backend}/{'fused' if pipeline else 'phased'}/"
-                        f"{store}: v diverged from the ram baseline",
+                err_msg=f"{backend}/{store}: v diverged from the ram baseline",
             )
 
     def test_mmap_run_leaves_no_spill_files(self, tmp_path):
@@ -77,26 +70,11 @@ class TestCrossStoreMatrix:
         )
         assert leftovers == []
 
-    def test_autotuned_process_run_matches_static_under_mmap(self):
-        """Autotuning reshapes execution, never results — including when
-        the replan happens on a store-backed run."""
-        dist = _dist()
-        outs = []
-        for autotune in (False, True):
-            cfg = ParallelConfig(
-                threads=2, backend="process", seed=5, autotune=autotune,
-                store="mmap",
-            )
-            out, _ = generate_graph(dist, swap_iterations=2, config=cfg)
-            outs.append(out)
-        np.testing.assert_array_equal(np.asarray(outs[0].u), np.asarray(outs[1].u))
-        np.testing.assert_array_equal(np.asarray(outs[0].v), np.asarray(outs[1].v))
-
-    @pytest.mark.parametrize("backend", ["vectorized", "process"])
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_resume_crosses_stores(self, tmp_path, backend):
         """A checkpoint taken by an mmap-backed run resumes correctly on
-        a RAM-backed config (and vice versa) — stores are execution
-        detail, like backends."""
+        a RAM-backed config — stores are execution detail, like
+        backends."""
         dist = _dist()
         ref, _ = generate_graph(
             dist, swap_iterations=4,

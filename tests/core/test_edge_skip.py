@@ -198,15 +198,8 @@ class TestGenerateEdges:
         g = generate_edges(P, small_dist, ParallelConfig(seed=3, backend="serial"))
         assert g.is_simple()
 
-    def test_process_backend_simple_output(self, small_dist):
-        P = self.full_matrix(small_dist) * 0.4
-        g = generate_edges(
-            P, small_dist, ParallelConfig(seed=3, backend="process", threads=2)
-        )
-        assert g.is_simple()
-
     def test_backends_statistically_consistent(self, small_dist):
-        """All three backends draw from the same distribution."""
+        """Both backends draw from the same distribution."""
         P = self.full_matrix(small_dist) * 0.35
         sizes = {}
         for backend in ("vectorized", "serial"):

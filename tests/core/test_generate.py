@@ -108,112 +108,7 @@ class TestEndToEnd:
         rel = np.abs(mean_deg - skewed_dist.degrees) / skewed_dist.degrees
         assert rel.mean() < 0.12
 
-    def test_process_backend_end_to_end(self, small_dist):
-        """The true-parallel backend drives the whole pipeline."""
-        cfg = ParallelConfig(threads=2, backend="process", seed=11)
-        g, report = generate_graph(small_dist, swap_iterations=2, config=cfg)
-        assert g.is_simple()
-        assert report.swap_stats.iterations == 2
-
     def test_serial_backend_end_to_end(self, small_dist):
         cfg = ParallelConfig(threads=1, backend="serial", seed=11)
         g, _ = generate_graph(small_dist, swap_iterations=2, config=cfg)
         assert g.is_simple()
-
-
-class TestFusedPipeline:
-    """The fused process pipeline vs the phased composition.
-
-    The contract is the differential-harness standard: for a fixed seed
-    the fused path must produce a bitwise-identical edge list and
-    identical swap statistics, across distributions, seeds, and worker
-    counts.
-    """
-
-    @pytest.mark.parametrize("dist_name", ["small_dist", "skewed_dist"])
-    @pytest.mark.parametrize("threads", [1, 4])
-    @pytest.mark.parametrize("seed", [11, 77])
-    def test_fused_matches_phased(self, request, dist_name, threads, seed):
-        dist = request.getfixturevalue(dist_name)
-        cfg = ParallelConfig(threads=threads, backend="process", seed=seed)
-        fused_g, fused_r = generate_graph(dist, swap_iterations=3, config=cfg)
-        phased_g, phased_r = generate_graph(
-            dist, swap_iterations=3, config=cfg, pipeline=False
-        )
-        assert fused_r.fused and not phased_r.fused
-        np.testing.assert_array_equal(fused_g.u, phased_g.u)
-        np.testing.assert_array_equal(fused_g.v, phased_g.v)
-        assert fused_r.swap_stats == phased_r.swap_stats
-        assert fused_r.edges_generated == phased_r.edges_generated
-
-    def test_fused_identical_across_process_counts(self, skewed_dist):
-        """Physical worker count never changes results: shard geometry
-        and chunk partitioning are pinned to the logical thread count."""
-        cfg1 = ParallelConfig(threads=4, backend="process", seed=5, processes=1)
-        cfg2 = ParallelConfig(threads=4, backend="process", seed=5, processes=2)
-        g1, r1 = generate_graph(skewed_dist, swap_iterations=2, config=cfg1)
-        g2, r2 = generate_graph(skewed_dist, swap_iterations=2, config=cfg2)
-        assert r1.fused and r2.fused
-        np.testing.assert_array_equal(g1.u, g2.u)
-        np.testing.assert_array_equal(g1.v, g2.v)
-        assert r1.swap_stats == r2.swap_stats
-
-    def test_fused_zero_iterations_matches_phased(self, skewed_dist):
-        cfg = ParallelConfig(threads=4, backend="process", seed=9)
-        fused_g, fused_r = generate_graph(skewed_dist, swap_iterations=0, config=cfg)
-        phased_g, phased_r = generate_graph(
-            skewed_dist, swap_iterations=0, config=cfg, pipeline=False
-        )
-        np.testing.assert_array_equal(fused_g.u, phased_g.u)
-        np.testing.assert_array_equal(fused_g.v, phased_g.v)
-        assert fused_r.swap_stats == phased_r.swap_stats
-        assert fused_r.swap_stats.iterations == 0
-
-    def test_fused_report_phase_attribution(self, skewed_dist):
-        """Fused runs still attribute wall time to the three phases, and
-        total_seconds is the true wall measurement."""
-        cfg = ParallelConfig(threads=2, backend="process", seed=3)
-        _, report = generate_graph(skewed_dist, swap_iterations=2, config=cfg)
-        assert report.fused
-        assert set(report.phase_seconds) == {
-            "probabilities", "edge_generation", "swap",
-        }
-        assert all(v >= 0 for v in report.phase_seconds.values())
-        assert report.wall_seconds is not None
-        assert report.total_seconds >= sum(report.phase_seconds.values()) - 1e-9
-
-    def test_fused_callback_forwarded(self, small_dist):
-        cfg = ParallelConfig(threads=2, backend="process", seed=11)
-        seen = []
-        _, report = generate_graph(
-            small_dist, swap_iterations=3, config=cfg,
-            callback=lambda it, g: seen.append(it),
-        )
-        assert report.fused
-        assert seen == [0, 1, 2]
-
-    def test_single_pool_spawn_per_generate(self, skewed_dist, monkeypatch):
-        """The fused pipeline spawns exactly one worker pool per call —
-        the whole point of the cross-phase pool."""
-        from repro.parallel import mp_backend
-
-        spawns = []
-        orig_init = mp_backend.PipelineWorkerPool.__init__
-
-        def counting_init(self, *args, **kwargs):
-            spawns.append(type(self).__name__)
-            return orig_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(mp_backend.PipelineWorkerPool, "__init__", counting_init)
-        cfg = ParallelConfig(threads=4, backend="process", seed=7)
-        _, report = generate_graph(skewed_dist, swap_iterations=3, config=cfg)
-        assert report.fused
-        # one PipelineWorkerPool and no SwapWorkerPool (subclass spawns
-        # would also be recorded here under their own name)
-        assert spawns == ["PipelineWorkerPool"]
-
-    def test_vectorized_backend_never_fused(self, small_dist, cfg):
-        _, report = generate_graph(small_dist, swap_iterations=1, config=cfg)
-        assert not report.fused
-        # every composition reports a true wall measurement
-        assert report.wall_seconds is not None

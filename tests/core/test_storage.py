@@ -36,18 +36,19 @@ from repro.core.storage import (
     MmapStore,
     RamStore,
     SPILL_PREFIX,
+    StoragePlan,
     copy_into,
     create_spill_file,
     generation_working_set_bytes,
     open_store,
     permute_into,
+    plan_storage,
     reap_stale_spill,
     select_store,
     swap_working_set_bytes,
     total_bytes_mapped,
 )
 from repro.graph.degree import DegreeDistribution
-from repro.parallel.autotune import StoragePlan, plan_storage
 from repro.parallel.runtime import ParallelConfig
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -95,18 +96,6 @@ class TestSelection:
             working_set_bytes=1 << 20,
         )
         assert roomy.store == "ram" and roomy.window == 0
-
-    def test_plan_storage_table_spill(self):
-        cfg = ParallelConfig(store="auto", memory_budget_bytes=1 << 12)
-        plan = plan_storage(
-            cfg, working_set_bytes=1 << 11, table_bytes=1 << 13
-        )
-        assert plan.table_spill
-        no_budget = plan_storage(
-            ParallelConfig(store="mmap"), working_set_bytes=1 << 11,
-            table_bytes=1 << 13,
-        )
-        assert not no_budget.table_spill  # spill needs a budget to exceed
 
     def test_working_set_estimates_scale_linearly(self):
         assert generation_working_set_bytes(10) == 10 * 16
@@ -284,16 +273,6 @@ class TestReapStaleSpill:
             time.sleep(0.2)
         assert [f for f in os.listdir(d) if f.startswith(SPILL_PREFIX)] == []
 
-    def test_shm_reap_stale_includes_spill_sweep(self, _isolated_spill_dir):
-        from repro.parallel.shm import reap_stale
-
-        d = str(_isolated_spill_dir)
-        os.makedirs(d, exist_ok=True)
-        orphan = os.path.join(d, f"{SPILL_PREFIX}{2**22 + 31}-0-dead.bin")
-        open(orphan, "wb").close()
-        removed = reap_stale()
-        assert orphan in removed and not os.path.exists(orphan)
-
 
 class TestCheckpointRawPayload:
     def test_big_arrays_use_raw_layout_and_roundtrip(self, tmp_path):
@@ -366,11 +345,11 @@ DRILL_SCRIPT = textwrap.dedent(
 
     from repro.core.generate import generate_graph
     from repro.graph.degree import DegreeDistribution
+    from repro.core.storage import reap_stale_spill
     from repro.parallel.runtime import ParallelConfig
-    from repro.parallel.shm import reap_stale
 
     ckpt_dir, out_path = sys.argv[1], sys.argv[2]
-    reap_stale()  # collect artifacts stranded by the killed incarnation
+    reap_stale_spill()  # collect spill files stranded by the killed incarnation
     dist = DegreeDistribution(degrees=[1, 2, 3, 6], counts=[60, 40, 20, 4])
     cfg = ParallelConfig(
         seed=42, threads=2, backend="vectorized",

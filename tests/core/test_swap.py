@@ -160,6 +160,29 @@ class TestSwapStats:
         assert cost.phase("permutation").work > 0
         assert cost.phase("swap").work == 2 * 2 * g.m
 
+    def test_cost_model_seconds_are_measured(self, cfg, monkeypatch):
+        """The permutation phase books the time the permutation took, and
+        the swap phase only the rest of the round."""
+        import time
+
+        from repro.core import swap as swap_mod
+        from repro.parallel.cost_model import CostModel
+
+        delay = 0.05
+        real = swap_mod.parallel_permutation
+
+        def slow_permutation(*args, **kwargs):
+            time.sleep(delay)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swap_mod, "parallel_permutation", slow_permutation)
+        g = random_simple_graph(30, 80, 9)
+        iterations = 3
+        cost = CostModel()
+        swap_edges(g, iterations, cfg, cost=cost)
+        assert cost.phase("permutation").seconds >= delay * iterations
+        assert cost.phase("swap").seconds < delay
+
 
 class TestSerialSwapChain:
     def test_invariants(self):

@@ -5,7 +5,6 @@ import pytest
 
 from repro.verify import (
     VERIFY_TIERS,
-    CanaryError,
     ChecksumError,
     GraphIntegrityError,
     IntegrityError,
@@ -18,7 +17,7 @@ from repro.verify import (
 
 class TestTypedFamily:
     def test_hierarchy(self):
-        for exc in (GraphIntegrityError, ChecksumError, CanaryError):
+        for exc in (GraphIntegrityError, ChecksumError):
             assert issubclass(exc, IntegrityError)
         assert issubclass(IntegrityError, RuntimeError)
 

@@ -42,17 +42,6 @@ class TestChungLuOm:
         g = chung_lu_om(skewed_dist, cfg, sampler="alias")
         assert g.m == skewed_dist.m
 
-    def test_process_backend(self, small_dist):
-        cfg = ParallelConfig(threads=2, backend="process", seed=1)
-        g = chung_lu_om(small_dist, cfg)
-        assert g.m == small_dist.m
-
-    def test_process_backend_matches_vectorized(self, small_dist):
-        vec = chung_lu_om(small_dist, ParallelConfig(threads=2, backend="vectorized", seed=1))
-        prc = chung_lu_om(small_dist, ParallelConfig(threads=2, backend="process", seed=1))
-        np.testing.assert_array_equal(vec.u, prc.u)
-        np.testing.assert_array_equal(vec.v, prc.v)
-
     def test_cost_accounting(self, small_dist, cfg):
         from repro.parallel.cost_model import CostModel
 

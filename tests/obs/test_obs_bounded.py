@@ -129,7 +129,7 @@ class TestServingBoundedness:
         from repro.parallel.runtime import ParallelConfig
         from repro.serve import Broker, JobSpec, ServeConfig, ServeClient
 
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             u = np.arange(4, dtype=np.int64)
             return EdgeList(u, (u + 1) % 5, 5)
 

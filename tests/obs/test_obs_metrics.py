@@ -62,28 +62,7 @@ class TestMetrics:
         assert snap["histograms"]["h"]["count"] == 1
 
 
-class _FakeShardedTable:
-    """Duck-typed stand-in for ShardedEdgeHashTable.per_shard_stats()."""
-
-    def per_shard_stats(self):
-        return {
-            "attempts": np.array([10, 20]),
-            "failures": np.array([1, 2]),
-            "max_probe": np.array([3, 5]),
-        }
-
-
 class TestRecordTableStats:
-    def test_sharded_sums_counters_gauges_max(self):
-        m = Metrics()
-        record_table_stats(m, _FakeShardedTable())
-        assert m.counters["swap.table.attempts"] == 30.0
-        assert m.counters["swap.table.failures"] == 3.0
-        # maxima don't sum: gauge of the worst shard + per-shard histogram
-        assert "swap.table.max_probe" not in m.counters
-        assert m.gauges["swap.table.max_probe"] == 5.0
-        assert m.histograms["swap.table.shard.max_probe"].count == 2
-
     def test_flat_table(self):
         table = ConcurrentEdgeHashTable(8)
         table.test_and_set(np.array([3, 9, 3], dtype=np.int64))
@@ -93,7 +72,9 @@ class TestRecordTableStats:
         assert m.gauges["t.max_probe"] >= 0.0
 
     def test_counters_accumulate_across_phases(self):
+        table = ConcurrentEdgeHashTable(8)
+        table.test_and_set(np.array([3, 9], dtype=np.int64))
         m = Metrics()
-        record_table_stats(m, _FakeShardedTable())
-        record_table_stats(m, _FakeShardedTable())
-        assert m.counters["swap.table.attempts"] == 60.0
+        record_table_stats(m, table)
+        record_table_stats(m, table)
+        assert m.counters["swap.table.attempts"] == 2.0 * table.stats.attempts

@@ -67,25 +67,6 @@ class TestCumulativeTiming:
         }
         assert report.cumulative_seconds > report.total_seconds
 
-    def test_fused_checkpoints_bank_earlier_phases(self, tmp_path, small_dist):
-        """Process-backend (fused) checkpoints carry the probability and
-        edge-generation spend, not just the swap rounds."""
-        cfg = ParallelConfig(seed=13, threads=2, backend="process")
-        _, first = generate_graph(
-            small_dist, swap_iterations=4, config=cfg,
-            checkpoint_dir=tmp_path, checkpoint_every=1,
-        )
-        assert first.fused
-        _drop_newest(tmp_path, 2)
-        _, report = generate_graph(
-            small_dist, swap_iterations=4,
-            config=ParallelConfig(seed=13, threads=2), resume_from=tmp_path,
-        )
-        assert report.resumed
-        prior = report.prior_phase_seconds
-        assert prior.get("edge_generation", 0.0) > 0
-        assert prior.get("swap", 0.0) > 0
-
     def test_resume_output_unchanged_by_timing_fields(self, tmp_path, small_dist):
         cfg = ParallelConfig(seed=12, threads=2)
         ref, _ = generate_graph(small_dist, swap_iterations=6, config=cfg)

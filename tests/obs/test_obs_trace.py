@@ -42,14 +42,6 @@ class TestLifecycle:
         assert kinds == ["meta", "event"]
         assert tr.records()[1]["name"] == "metrics.snapshot"
 
-    def test_reset_for_worker_severs_current(self):
-        with RunTrace() as tr:
-            obs_trace.reset_for_worker()
-            assert current() is None
-            # the trace object itself still works parent-side
-            tr.event("x")
-        assert tr.events("x")
-
 
 class TestRecording:
     def test_span_nesting_and_parents(self):
@@ -134,7 +126,7 @@ class TestGenerateIntegration:
         assert tr.metrics.counters["swap.rounds"] == 3
 
     def test_phase_durations_agree_with_report(self, skewed_dist):
-        cfg = ParallelConfig(threads=2, backend="process", seed=3)
+        cfg = ParallelConfig(threads=2, seed=3)
         with RunTrace() as tr:
             _, report = generate_graph(skewed_dist, swap_iterations=2, config=cfg)
         for phase, seconds in report.phase_seconds.items():
@@ -142,54 +134,6 @@ class TestGenerateIntegration:
             # 5% relative, with an absolute floor for sub-ms phases where
             # span bookkeeping dominates
             assert abs(span["dur"] - seconds) <= max(0.05 * seconds, 2e-3)
-
-
-class TestFusedPipeline:
-    def test_span_tree_covers_phases_and_pool(self, skewed_dist, tmp_path):
-        path = tmp_path / "fused.jsonl"
-        cfg = ParallelConfig(threads=2, backend="process", seed=3)
-        with RunTrace(path) as tr:
-            _, report = generate_graph(skewed_dist, swap_iterations=2, config=cfg)
-        assert report.fused
-        summary = validate_trace_file(path)
-        assert summary["roots"] == ["generate"]
-        names = {s["name"] for s in tr.spans()}
-        assert {"generate", "phase:probabilities", "phase:edge_generation",
-                "phase:swap"} <= names
-        assert tr.events("pool.worker_spawn")
-        assert tr.metrics.counters["pool.spawns"] >= 1
-
-    def test_spans_survive_worker_respawn(self):
-        """A SIGKILLed worker mid-run leaves a complete, valid span tree
-        plus supervision events for the respawn."""
-        graph = _ring()
-        cfg = ParallelConfig(threads=2, backend="process", seed=7,
-                             faults="kill:w0:tas:1")
-        baseline = swap_edges(graph, 3, ParallelConfig(threads=2,
-                                                       backend="process", seed=7))
-        with RunTrace() as tr:
-            stats = SwapStats()
-            out = swap_edges(graph, 3, cfg, stats=stats)
-        np.testing.assert_array_equal(out.u, baseline.u)
-        np.testing.assert_array_equal(out.v, baseline.v)
-        validate_trace(tr.records())
-        (chain,) = tr.spans("swap:chain")
-        assert chain["attrs"]["backend"] == "process"
-        respawns = tr.events("pool.worker_respawn")
-        assert respawns and respawns[0]["attrs"]["worker"] == 0
-        assert tr.metrics.counters["pool.respawns"] >= 1
-
-    def test_degradation_emits_event(self):
-        """Exhausting the restart budget degrades to vectorized and says so."""
-        graph = _ring()
-        cfg = ParallelConfig(threads=2, backend="process", seed=7,
-                             faults="kill:w0:tas:0:x8")
-        with RunTrace() as tr:
-            stats = SwapStats()
-            swap_edges(graph, 3, cfg, stats=stats)
-        if stats.degraded:  # budget may vary with config defaults
-            assert tr.events("pool.degraded")
-            assert tr.metrics.counters["pool.degradations"] >= 1
 
     def test_checkpoint_writes_traced(self, small_dist, tmp_path):
         cfg = ParallelConfig(threads=2, backend="vectorized", seed=5)
@@ -203,53 +147,26 @@ class TestFusedPipeline:
 
 
 class TestAutotuneEvents:
-    """``tune.replan`` trace events: every autotuner decision is
-    recorded, carries a complete payload, and the resulting trace still
-    validates against the versioned schema."""
-
-    def test_fused_run_emits_replan_events(self, skewed_dist, tmp_path):
-        path = tmp_path / "tuned.jsonl"
-        cfg = ParallelConfig(threads=2, backend="process", seed=3,
-                             autotune=True)
-        with RunTrace(path) as tr:
-            _, report = generate_graph(skewed_dist, swap_iterations=2,
-                                       config=cfg)
-        assert report.fused
-        replans = tr.events("tune.replan")
-        phases = [e["attrs"]["phase"] for e in replans]
-        # the fused pipeline plans once before generation and once when
-        # sizing the swap exchange
-        assert phases == ["generation", "swap_setup"]
-        for ev in replans:
-            attrs = ev["attrs"]
-            assert isinstance(attrs["applied"], bool)
-            assert attrs["workers"] >= 1
-            assert attrs["shards"] >= 1
-            assert attrs["batch_size"] >= 1
-            assert isinstance(attrs["reason"], str) and attrs["reason"]
-        assert tr.metrics.counters["tune.replans"] == len(replans)
-        # the JSONL file on disk validates against the trace schema
-        summary = validate_trace_file(path)
-        assert summary["roots"] == ["generate"]
-
-    def test_process_swap_emits_probe_backed_replan(self):
-        graph = _ring()
-        cfg = ParallelConfig(threads=2, backend="process", seed=7,
-                             autotune=True)
-        with RunTrace() as tr:
-            swap_edges(graph, 3, cfg)
-        (ev,) = tr.events("tune.replan")
-        attrs = ev["attrs"]
-        assert attrs["phase"] == "swap"
-        # the standalone chain replans from a measured first iteration
-        assert attrs["probe_seconds"] > 0
-        assert attrs["table_attempts"] >= attrs["table_failures"] >= 0
-        assert attrs["edges"] == len(graph.u)
-        validate_trace(tr.records())
+    """``tune.replan`` trace events record the storage planner's automatic
+    spill decisions, and only those."""
 
     def test_static_run_emits_no_replan(self, skewed_dist):
-        cfg = ParallelConfig(threads=2, backend="process", seed=3)
+        cfg = ParallelConfig(threads=2, seed=3)
         with RunTrace() as tr:
             generate_graph(skewed_dist, swap_iterations=2, config=cfg)
         assert tr.events("tune.replan") == []
         assert "tune.replans" not in tr.metrics.counters
+
+    def test_spill_emits_storage_replan(self, skewed_dist, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "spill"))
+        cfg = ParallelConfig(threads=2, seed=3, memory_budget_bytes=1 << 10)
+        with RunTrace() as tr:
+            generate_graph(skewed_dist, swap_iterations=1, config=cfg)
+        replans = tr.events("tune.replan")
+        assert [e["attrs"]["phase"] for e in replans] == ["storage", "storage"]
+        for ev in replans:
+            attrs = ev["attrs"]
+            assert attrs["store"] == "mmap"
+            assert attrs["window"] > 0 and attrs["edges"] > 0
+            assert isinstance(attrs["reason"], str) and attrs["reason"]
+        validate_trace(tr.records())

@@ -1,136 +1,14 @@
-"""Property and integration tests for the observation-driven autotuner.
+"""Property tests for the cost model's simulated p-thread time.
 
-The planners (:func:`repro.parallel.autotune.plan_generation`,
-:func:`~repro.parallel.autotune.plan_swap`) are pure functions of
-``(config, snapshot)``, so they are property-tested directly: plans are
-deterministic, never propose zero/negative geometry, keep shards a power
-of two, and respect ``ParallelConfig.processes`` as a worker ceiling.
-The cost model they consume gets the same treatment.  The integration
-tests then assert the end-to-end contract: ``autotune=True`` changes
-execution only — outputs stay bitwise-identical for every entry point.
+:meth:`repro.parallel.cost_model.PhaseCost.simulated_seconds` is Brent's
+bound scaled by the phase's measured seconds; these properties hold for
+any work, span, measurement and thread count.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import Metrics
-from repro.parallel.autotune import (
-    TunePlan,
-    TuneSnapshot,
-    plan_generation,
-    plan_swap,
-)
 from repro.parallel.cost_model import PhaseCost
-from repro.parallel.runtime import ParallelConfig
-
-
-def snapshot_strategy():
-    return st.builds(
-        TuneSnapshot,
-        edges=st.integers(0, 10**8),
-        host_workers=st.integers(1, 128),
-        seconds=st.floats(0.0, 100.0, allow_nan=False),
-        table_attempts=st.integers(0, 10**9),
-        table_failures=st.integers(0, 10**9),
-        workers=st.integers(0, 64),
-        shards=st.integers(0, 1024),
-        batch_size=st.integers(0, 10**7),
-    )
-
-
-def config_strategy():
-    return st.builds(
-        ParallelConfig,
-        threads=st.integers(1, 64),
-        backend=st.just("process"),
-        seed=st.integers(0, 10),
-        shards=st.integers(0, 256),
-        processes=st.integers(0, 32),
-        batch_size=st.integers(0, 10**6),
-    )
-
-
-class TestPlanProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(config=config_strategy(), snapshot=snapshot_strategy())
-    def test_swap_plan_deterministic_and_positive(self, config, snapshot):
-        plan = plan_swap(config, snapshot)
-        assert plan == plan_swap(config, snapshot)
-        # TunePlan.__post_init__ enforces these, but assert the contract
-        # here so it cannot be silently weakened
-        assert plan.processes >= 1
-        assert plan.shards >= 1 and plan.shards & (plan.shards - 1) == 0
-        assert plan.batch_size >= 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(config=config_strategy(), snapshot=snapshot_strategy())
-    def test_swap_plan_respects_process_ceiling(self, config, snapshot):
-        plan = plan_swap(config, snapshot)
-        ceiling = config.processes or max(1, snapshot.host_workers)
-        assert plan.processes <= ceiling
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        config=config_strategy(),
-        expected_edges=st.integers(0, 10**8),
-        host_workers=st.integers(1, 128),
-    )
-    def test_generation_plan_deterministic_and_bounded(
-        self, config, expected_edges, host_workers
-    ):
-        plan = plan_generation(
-            config, expected_edges=expected_edges, host_workers=host_workers
-        )
-        again = plan_generation(
-            config, expected_edges=expected_edges, host_workers=host_workers
-        )
-        assert plan == again
-        assert plan.processes >= 1
-        assert plan.processes <= (config.processes or max(1, host_workers))
-        assert plan.shards >= 1 and plan.shards & (plan.shards - 1) == 0
-        assert plan.batch_size >= 1
-
-    @settings(max_examples=100, deadline=None)
-    @given(snapshot=snapshot_strategy())
-    def test_pinned_knobs_pass_through(self, snapshot):
-        config = ParallelConfig(
-            threads=4, backend="process", processes=3, batch_size=777
-        )
-        plan = plan_swap(config, snapshot)
-        assert plan.processes <= 3
-        assert plan.batch_size == 777
-
-    def test_invalid_plans_fail_loudly(self):
-        with pytest.raises(ValueError):
-            TunePlan(processes=0, shards=8, batch_size=1)
-        with pytest.raises(ValueError):
-            TunePlan(processes=1, shards=12, batch_size=1)  # not a pow2
-        with pytest.raises(ValueError):
-            TunePlan(processes=1, shards=8, batch_size=0)
-
-    def test_snapshot_from_metrics_reads_table_counters(self):
-        metrics = Metrics()
-        metrics.inc("swap.table.attempts", 120)
-        metrics.inc("swap.table.failures", 7)
-        snap = TuneSnapshot.from_metrics(
-            metrics, edges=50, host_workers=2, seconds=0.5
-        )
-        assert snap.table_attempts == 120
-        assert snap.table_failures == 7
-        assert snap.edges == 50
-
-    def test_contended_snapshot_spreads_shards(self):
-        config = ParallelConfig(threads=2, backend="process")
-        calm = TuneSnapshot(
-            edges=10**6, host_workers=4, seconds=1.0,
-            table_attempts=1000, table_failures=0,
-        )
-        hot = TuneSnapshot(
-            edges=10**6, host_workers=4, seconds=1.0,
-            table_attempts=1000, table_failures=500,
-        )
-        assert plan_swap(config, hot).shards == 2 * plan_swap(config, calm).shards
 
 
 class TestCostModelProperties:
@@ -167,71 +45,3 @@ class TestCostModelProperties:
             PhaseCost("p", work=-1.0, depth=0.0)
         with pytest.raises(ValueError):
             PhaseCost("p", work=1.0, depth=2.0)
-
-
-class TestAutotuneBitwise:
-    """autotune=True must never change what a run produces."""
-
-    def _graph(self, seed=0, n=60, m=150):
-        rng = np.random.default_rng(seed)
-        u = rng.integers(0, n, 3 * m)
-        v = rng.integers(0, n, 3 * m)
-        from repro.graph.edgelist import EdgeList
-
-        keep = u != v
-        g = EdgeList(u[keep], v[keep], n).simplify()
-        return EdgeList(g.u[:m], g.v[:m], n)
-
-    def test_process_swap_identical_with_autotune(self):
-        from repro.core.swap import SwapStats, swap_edges
-
-        graph = self._graph()
-        outs, stats = {}, {}
-        for auto in (False, True):
-            stats[auto] = SwapStats()
-            outs[auto] = swap_edges(
-                graph, 4,
-                ParallelConfig(
-                    threads=2, backend="process", seed=11, autotune=auto
-                ),
-                stats=stats[auto],
-            )
-        np.testing.assert_array_equal(outs[True].u, outs[False].u)
-        np.testing.assert_array_equal(outs[True].v, outs[False].v)
-        assert stats[True] == stats[False]
-
-    def test_fused_generate_identical_with_autotune(self):
-        from repro.core.generate import generate_graph
-        from repro.datasets.synthetic import deterministic_powerlaw
-
-        dist = deterministic_powerlaw(n=400, d_avg=4.0, d_max=25, n_classes=12)
-        outs, reports = {}, {}
-        for auto in (False, True):
-            outs[auto], reports[auto] = generate_graph(
-                dist, swap_iterations=2,
-                config=ParallelConfig(
-                    threads=4, backend="process", seed=7, autotune=auto
-                ),
-            )
-        np.testing.assert_array_equal(outs[True].u, outs[False].u)
-        np.testing.assert_array_equal(outs[True].v, outs[False].v)
-        assert reports[True].swap_stats == reports[False].swap_stats
-        assert reports[True].fused and reports[False].fused
-
-    def test_pinned_batch_size_bounds_exchange(self):
-        """A tiny pinned batch_size still yields identical output (the
-        sub-batched exchange protocol is verdict-preserving)."""
-        from repro.core.swap import swap_edges
-
-        graph = self._graph(seed=3)
-        base = swap_edges(
-            graph, 3, ParallelConfig(threads=2, backend="process", seed=5)
-        )
-        small = swap_edges(
-            graph, 3,
-            ParallelConfig(
-                threads=2, backend="process", seed=5, batch_size=17
-            ),
-        )
-        np.testing.assert_array_equal(small.u, base.u)
-        np.testing.assert_array_equal(small.v, base.v)

@@ -1,10 +1,9 @@
 """Cross-backend differential harness for the swap engine.
 
-Runs :func:`repro.core.swap.swap_edges` under every backend — the
-``serial`` one-key-at-a-time reference, the default ``vectorized``
-engine, and the ``process`` backend (real worker processes against the
-sharded shared-memory table) — over a matrix of graphs × null-model
-spaces × thread counts, and asserts:
+Runs :func:`repro.core.swap.swap_edges` under both backends — the
+``serial`` one-key-at-a-time reference and the default ``vectorized``
+engine — over a matrix of graphs × null-model spaces × thread counts,
+and asserts:
 
 - **identical degree sequences** (swaps preserve degrees exactly, so
   every backend must return the input's degree sequence);
@@ -12,17 +11,12 @@ spaces × thread counts, and asserts:
   spaces that forbid them, defects never created in the others);
 - **exact output equality** — TestAndSet verdicts are pure set
   membership with first-occurrence semantics, which is schedule
-  independent, so for a fixed seed all three backends must produce the
+  independent, so for a fixed seed both backends must produce the
   *same graph*, not merely statistically similar ones;
 - **statistically indistinguishable acceptance rates** across seeds (the
   weaker guarantee the paper's evaluation relies on, asserted separately
   so it keeps holding even if exact equality is ever relaxed).
-
-The CI process-backend job widens the thread matrix via the
-``REPRO_TEST_THREADS`` environment variable.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -35,9 +29,6 @@ from repro.parallel.runtime import BACKENDS, ParallelConfig
 SPACES = ("simple", "loopy", "multigraph", "loopy_multigraph")
 
 THREAD_MATRIX = [1, 2, 4]
-_extra = int(os.environ.get("REPRO_TEST_THREADS", "0"))
-if _extra and _extra not in THREAD_MATRIX:
-    THREAD_MATRIX.append(_extra)
 
 
 def simple_graph(seed: int, n: int = 60, m: int = 150) -> EdgeList:
@@ -68,7 +59,7 @@ def sorted_keys(g: EdgeList) -> np.ndarray:
 
 
 class TestBackendEquivalence:
-    """serial ≡ vectorized ≡ process over the invariant matrix."""
+    """serial ≡ vectorized over the invariant matrix."""
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     @pytest.mark.parametrize("space", SPACES)
@@ -123,33 +114,6 @@ class TestBackendEquivalence:
         for backend in BACKENDS:
             assert abs(means[backend] - means["vectorized"]) < 0.02, means
 
-    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-    @pytest.mark.parametrize("space", SPACES)
-    def test_autotune_identical_on_all_backends(self, graph_name, space):
-        """autotune=True is a pure execution choice: every backend's
-        output (and result-contract stats) must match its static run."""
-        graph = GRAPHS[graph_name]
-        for backend in BACKENDS:
-            outs, stats = {}, {}
-            for auto in (False, True):
-                stats[auto] = SwapStats()
-                outs[auto] = swap_edges(
-                    graph, 3,
-                    ParallelConfig(
-                        threads=2, backend=backend, seed=97, autotune=auto
-                    ),
-                    stats=stats[auto], space=space,
-                )
-            np.testing.assert_array_equal(
-                outs[True].u, outs[False].u,
-                err_msg=f"{backend} autotune diverged ({graph_name}/{space})",
-            )
-            np.testing.assert_array_equal(
-                outs[True].v, outs[False].v,
-                err_msg=f"{backend} autotune diverged ({graph_name}/{space})",
-            )
-            assert stats[True] == stats[False]
-
     def test_maintained_keys_match_repacked_registration(self, monkeypatch):
         """The swap chain's maintained key array (permuted alongside the
         edges and patched per accepted swap, never re-packed wholesale)
@@ -202,24 +166,3 @@ class TestBackendEquivalence:
                 reg, pack_edges(u, v),
                 err_msg=f"maintained keys drifted at iteration {it}",
             )
-
-    def test_process_contention_stats_recorded(self):
-        """The process run reports per-iteration table activity."""
-        graph = GRAPHS["simple"]
-        stats = SwapStats()
-        swap_edges(
-            graph, 2,
-            ParallelConfig(threads=2, backend="process", seed=3),
-            stats=stats,
-        )
-        assert stats.table_attempts > 0
-        assert 0 <= stats.table_failures <= stats.table_attempts
-
-    def test_process_backend_multigraph_simplification(self):
-        """Section VIII-A behavior survives the process engine."""
-        graph = GRAPHS["defective"]
-        out = swap_edges(
-            graph, 20, ParallelConfig(threads=2, backend="process", seed=8)
-        )
-        assert out.count_self_loops() <= graph.count_self_loops()
-        assert out.count_multi_edges() < graph.count_multi_edges()

@@ -32,7 +32,7 @@ class TestGrammar:
         assert spec.index == 0
 
     def test_parse_with_times(self):
-        plan = parse_plan("bitflip:journal:1:x3")
+        plan = parse_plan("bitflip:spill:1:x3")
         assert plan.bitflip_specs[0].times == 3
 
     def test_every_artifact_accepted(self):
@@ -44,13 +44,8 @@ class TestGrammar:
             parse_plan("bitflip:heap:0")
 
     def test_mixes_with_other_specs(self):
-        plan = parse_plan("kill:w0:tas:1,bitflip:spill:0")
-        assert plan.specs and plan.bitflip_specs
-
-    def test_survives_after_respawn(self):
-        plan = parse_plan("kill:w0:tas:0,bitflip:cache:0")
-        respawned = plan.after_respawn(0)
-        assert respawned.bitflip_specs == plan.bitflip_specs
+        plan = parse_plan("parentkill:checkpoint:1,bitflip:spill:0")
+        assert plan.parent_specs and plan.bitflip_specs
 
 
 class TestConsume:
@@ -125,9 +120,6 @@ class TestArmFrom:
     def test_arm_from_config(self):
         from repro.parallel.runtime import ParallelConfig
 
-        cfg = ParallelConfig(faults="bitflip:journal:0")
+        cfg = ParallelConfig(faults="bitflip:spill:0")
         faultinject.arm_from(cfg)
-        try:
-            assert consume_bitflip("journal")
-        finally:
-            faultinject.disarm_shm_faults()
+        assert consume_bitflip("spill")

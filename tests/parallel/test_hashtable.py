@@ -154,99 +154,3 @@ class TestContains:
     def test_empty_query(self):
         t = ConcurrentEdgeHashTable(8)
         assert t.contains(np.empty(0, dtype=np.int64)).shape == (0,)
-
-
-class TestShardedTable:
-    """The shared-memory sharded table must match the flat table's verdicts."""
-
-    def _table(self, cap=1024, **kw):
-        from repro.parallel.hashtable import ShardedEdgeHashTable
-
-        return ShardedEdgeHashTable(cap, **kw)
-
-    def test_verdicts_match_flat_table(self):
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 400, 1500).astype(np.int64)
-        flat = ConcurrentEdgeHashTable(2048)
-        with self._table(2048, n_shards=16) as sharded:
-            np.testing.assert_array_equal(
-                sharded.test_and_set(keys), flat.test_and_set(keys)
-            )
-            assert sharded.size == flat.size
-
-    @pytest.mark.parametrize("probing", ["linear", "quadratic"])
-    def test_probing_variants(self, probing):
-        keys = np.arange(200, dtype=np.int64)
-        with self._table(256, probing=probing) as t:
-            assert not t.test_and_set(keys).any()
-            assert t.test_and_set(keys).all()
-
-    def test_shard_of_partitions_keys(self):
-        with self._table(64, n_shards=8) as t:
-            shards = t.shard_of(np.arange(1000, dtype=np.int64))
-            assert shards.min() >= 0 and shards.max() < t.n_shards
-            # splitmix spreads keys over every shard
-            assert len(np.unique(shards)) == t.n_shards
-
-    def test_per_shard_stats_recorded(self):
-        keys = np.arange(500, dtype=np.int64)
-        with self._table(1024, n_shards=8) as t:
-            t.test_and_set(keys)
-            stats = t.per_shard_stats
-            assert stats["inserted"].sum() == 500
-            assert (stats["attempts"] >= stats["inserted"]).all()
-            agg = t.stats
-            assert agg.attempts == stats["attempts"].sum()
-
-    def test_clear_keeps_counters(self):
-        keys = np.arange(100, dtype=np.int64)
-        with self._table(256) as t:
-            t.test_and_set(keys)
-            before = t.stats.attempts
-            t.clear()
-            assert t.size == 0
-            assert t.stats.attempts == before
-            assert not t.test_and_set(keys).any()
-
-    def test_attach_shares_state(self):
-        from repro.parallel.hashtable import ShardedEdgeHashTable
-
-        keys = np.arange(64, dtype=np.int64)
-        with self._table(128) as t:
-            t.test_and_set(keys)
-            other = ShardedEdgeHashTable.attach(t.descriptor())
-            assert other.test_and_set(keys).all()
-            assert other.contains(keys).all()
-            other.close()
-
-    def test_contains_does_not_insert(self):
-        with self._table(64) as t:
-            t.contains(np.asarray([3, 4], dtype=np.int64))
-            assert t.size == 0
-
-    def test_duplicate_keys_first_occurrence_wins(self):
-        keys = np.asarray([7, 7, 7, 9], dtype=np.int64)
-        with self._table(64) as t:
-            got = t.test_and_set(keys)
-            np.testing.assert_array_equal(got, [False, True, True, False])
-
-    def test_negative_keys_rejected(self):
-        with self._table(64) as t:
-            with pytest.raises(ValueError):
-                t.test_and_set(np.asarray([-2], dtype=np.int64))
-
-    def test_shard_count_rounded_to_pow2(self):
-        with self._table(64, n_shards=5) as t:
-            assert t.n_shards == 8
-
-    @given(st.lists(st.integers(0, 2**40), max_size=120))
-    @settings(max_examples=25, deadline=None)
-    def test_property_matches_python_set(self, values):
-        keys = np.asarray(values, dtype=np.int64)
-        with self._table(max(len(values), 4)) as t:
-            got = t.test_and_set(keys)
-            seen = set()
-            for i, k in enumerate(values):
-                assert got[i] == (k in seen)
-                seen.add(k)
-            assert t.size == len(seen)

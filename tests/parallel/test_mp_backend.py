@@ -1,319 +1,36 @@
-"""Tests for the multiprocessing backend."""
+"""Tests for the chunk mapper, :func:`repro.parallel.runtime.chunk_map`.
+
+The mapper runs every chunk of the static partition in-process, in chunk
+order, with one spawned seed per chunk.
+"""
 
 import numpy as np
-import pytest
 
-from repro.parallel.mp_backend import available_workers, process_chunk_map
-from repro.parallel.runtime import ParallelConfig
+from repro.parallel.runtime import ParallelConfig, chunk_map
 
-# module-level kernel: must be picklable for the process pool
+
 def _iota_kernel(lo, hi, seed, offset):
     return np.arange(lo, hi, dtype=np.int64) + offset
-
-
-def _seeded_kernel(lo, hi, seed):
-    return np.random.default_rng(seed).integers(0, 100, size=hi - lo)
-
-
-class TestAvailableWorkers:
-    def test_clamps_to_host(self):
-        assert 1 <= available_workers(10**6) <= 10**6
-
-    def test_minimum_one(self):
-        assert available_workers(0) == 1
 
 
 class TestProcessChunkMap:
     def test_vectorized_backend_runs_inline(self):
         cfg = ParallelConfig(threads=4, backend="vectorized", seed=0)
-        chunks = process_chunk_map(_iota_kernel, 10, cfg, 5)
+        chunks = chunk_map(_iota_kernel, 10, cfg, 5)
         np.testing.assert_array_equal(np.concatenate(chunks), np.arange(10) + 5)
-
-    def test_process_backend_same_result(self):
-        inline = process_chunk_map(
-            _seeded_kernel, 40, ParallelConfig(threads=4, backend="vectorized", seed=3)
-        )
-        procs = process_chunk_map(
-            _seeded_kernel, 40, ParallelConfig(threads=4, backend="process", seed=3)
-        )
-        np.testing.assert_array_equal(np.concatenate(inline), np.concatenate(procs))
 
     def test_empty_range(self):
         cfg = ParallelConfig(threads=4, seed=0)
-        assert process_chunk_map(_iota_kernel, 0, cfg, 0) == []
+        assert chunk_map(_iota_kernel, 0, cfg, 0) == []
 
     def test_single_chunk_skips_pool(self):
-        cfg = ParallelConfig(threads=1, backend="process", seed=0)
-        chunks = process_chunk_map(_iota_kernel, 5, cfg, 0)
+        """One logical thread means one kernel call over the whole range."""
+        cfg = ParallelConfig(threads=1, seed=0)
+        chunks = chunk_map(_iota_kernel, 5, cfg, 0)
         assert len(chunks) == 1
+        np.testing.assert_array_equal(chunks[0], np.arange(5))
 
     def test_chunk_order_preserved(self):
         cfg = ParallelConfig(threads=3, seed=0)
-        chunks = process_chunk_map(_iota_kernel, 9, cfg, 0)
+        chunks = chunk_map(_iota_kernel, 9, cfg, 0)
         assert [c[0] for c in chunks] == [0, 3, 6]
-
-
-class TestPersistentExecutor:
-    def test_executor_reused_across_calls(self):
-        from repro.parallel.runtime import get_executor
-
-        a = get_executor(2)
-        b = get_executor(2)
-        assert a is b
-
-    def test_shutdown_then_fresh_executor(self):
-        from repro.parallel.runtime import get_executor, shutdown_executors
-
-        a = get_executor(1)
-        shutdown_executors()
-        b = get_executor(1)
-        assert a is not b
-        assert b.submit(max, 1, 2).result() == 2
-
-    def test_process_chunk_map_uses_persistent_pool(self):
-        from repro.parallel.runtime import get_executor
-
-        cfg = ParallelConfig(threads=4, backend="process", seed=3)
-        process_chunk_map(_seeded_kernel, 40, cfg)
-        pool = get_executor(available_workers(4))
-        before = pool
-        process_chunk_map(_seeded_kernel, 40, cfg)
-        assert get_executor(available_workers(4)) is before
-
-
-class TestSwapWorkerPool:
-    def _make(self, workers=2, cap=2048):
-        from repro.parallel.hashtable import ShardedEdgeHashTable
-        from repro.parallel.mp_backend import SwapWorkerPool
-
-        table = ShardedEdgeHashTable(cap, workers_hint=workers)
-        return table, SwapWorkerPool(table, workers, capacity=cap)
-
-    def test_verdicts_match_flat_table(self):
-        from repro.parallel.hashtable import ConcurrentEdgeHashTable
-
-        rng = np.random.default_rng(7)
-        keys = rng.integers(0, 300, 1000).astype(np.int64)
-        flat = ConcurrentEdgeHashTable(2048)
-        expect = flat.test_and_set(keys)
-        table, pool = self._make()
-        with table, pool:
-            np.testing.assert_array_equal(pool.test_and_set(keys), expect)
-            assert pool.test_and_set(keys).all()
-
-    def test_clear_resets_membership(self):
-        table, pool = self._make()
-        keys = np.arange(50, dtype=np.int64)
-        with table, pool:
-            assert not pool.test_and_set(keys).any()
-            pool.clear()
-            assert not pool.test_and_set(keys).any()
-
-    def test_empty_batch(self):
-        table, pool = self._make(workers=1)
-        with table, pool:
-            assert pool.test_and_set(np.empty(0, dtype=np.int64)).shape == (0,)
-
-    def test_over_capacity_batch_sub_batches(self):
-        """A batch beyond the exchange capacity splits into sequential
-        sub-batches with verdicts identical to an uncapped pool's —
-        first-occurrence semantics hold because earlier sub-batch
-        inserts are visible to later ones."""
-        from repro.parallel.hashtable import ConcurrentEdgeHashTable
-
-        rng = np.random.default_rng(13)
-        keys = rng.integers(0, 120, 300).astype(np.int64)
-        flat = ConcurrentEdgeHashTable(2048)
-        expect = flat.test_and_set(keys)
-        table, pool = self._make(cap=64)
-        with table, pool:
-            np.testing.assert_array_equal(pool.test_and_set(keys), expect)
-            assert pool.test_and_set(keys).all()
-
-    def test_closed_pool_rejects_work(self):
-        table, pool = self._make(workers=1)
-        with table:
-            pool.close()
-            pool.close()  # idempotent
-            with pytest.raises(RuntimeError):
-                pool.test_and_set(np.asarray([1], dtype=np.int64))
-
-    def test_single_worker_owns_all_shards(self):
-        table, pool = self._make(workers=1)
-        keys = np.arange(200, dtype=np.int64)
-        with table, pool:
-            assert not pool.test_and_set(keys).any()
-            assert table.per_shard_stats["inserted"].sum() == 200
-
-    def test_pipeline_messages_without_table_rejected(self):
-        from repro.parallel.mp_backend import PipelineWorkerPool
-
-        with PipelineWorkerPool(1) as pool:
-            with pytest.raises(RuntimeError, match="bind"):
-                pool.test_and_set(np.asarray([1], dtype=np.int64))
-
-    def test_dead_worker_recovered_by_supervisor(self):
-        """A SIGKILLed worker must be respawned and its batch replayed —
-        neither a deadlock on the completion barrier (regression:
-        SimpleQueue.get blocked forever when a worker died without
-        replying) nor a torn-down pool (pre-supervision behavior)."""
-        import os
-        import signal
-
-        table, pool = self._make(workers=2)
-        with table, pool:
-            keys = np.arange(100, dtype=np.int64)
-            assert not pool.test_and_set(keys).any()  # workers proven alive
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            pool._procs[0].join(timeout=5)
-            # next batch: the supervisor respawns worker 0 and replays
-            assert pool.test_and_set(keys).all()
-            assert not pool.test_and_set(keys + 10_000).any()
-            assert [f.kind for f in pool.faults] == ["died"]
-
-    def test_restart_budget_exhaustion_reports_batches(self):
-        """With a zero restart budget a dead worker raises PoolFaultError
-        naming the completed vs. lost batch indices of the submission."""
-        import os
-        import signal
-
-        from repro.parallel.hashtable import ShardedEdgeHashTable
-        from repro.parallel.mp_backend import PoolFaultError, SwapWorkerPool
-
-        table = ShardedEdgeHashTable(2048, workers_hint=2)
-        cfg = ParallelConfig(threads=2, backend="process", max_worker_restarts=0)
-        pool = SwapWorkerPool(table, 2, capacity=2048, config=cfg)
-        with table:
-            keys = np.arange(100, dtype=np.int64)
-            pool.test_and_set(keys)
-            os.kill(pool._procs[0].pid, signal.SIGKILL)
-            pool._procs[0].join(timeout=5)
-            with pytest.raises(PoolFaultError) as exc_info:
-                pool.test_and_set(keys + 1000)
-            err = exc_info.value
-            assert err.lost  # the dead worker's batch is reported lost
-            assert set(err.completed).isdisjoint(err.lost)
-            assert err.faults and err.faults[-1].kind == "died"
-            pool.close()  # idempotent after internal teardown
-
-
-class TestPipelineWorkerPool:
-    """The fused pipeline's cross-phase pool: gen → bind → insert → tas."""
-
-    def _gen_static(self, dist, n_owners, n_shards, threads=4):
-        from repro.core.edge_skip import prepare_spaces
-
-        P = np.full((dist.n_classes, dist.n_classes), 0.4)
-        cfg = ParallelConfig(threads=threads, backend="process", seed=0)
-        static = dict(prepare_spaces(P, dist, cfg))
-        static.update(
-            offsets=dist.class_offsets(),
-            counts=dist.counts,
-            n_shards=n_shards,
-            n_owners=n_owners,
-        )
-        return static
-
-    def test_gen_writes_kernel_output_to_shared_memory(self, small_dist):
-        from repro.core.edge_skip import fused_chunk_sample
-        from repro.parallel.mp_backend import PipelineWorkerPool
-        from repro.parallel.shm import PipelineArena
-
-        static = self._gen_static(small_dist, n_owners=2, n_shards=16)
-        n_spaces = len(static["p"])
-        with PipelineArena() as arena, PipelineWorkerPool(2, gen_static=static) as pool:
-            edges = arena.allocate("e", (4 * n_spaces + 64, 2), np.int64)
-            keys = arena.allocate("k", (4 * n_spaces + 64,), np.int64)
-            counts = arena.allocate("c", (1, 2), np.int64, fill=0)
-            msg = ("gen", 0, 0, n_spaces, 42, edges.descriptor, keys.descriptor,
-                   counts.descriptor, 0, len(edges.array))
-            (reply,) = pool.generate([msg])
-            tag, chunk, k = reply
-            assert tag == "ok" and chunk == 0
-            # the worker's output equals the in-process kernel bit for bit
-            pairs, keys_sorted, owner_counts = fused_chunk_sample(
-                0, n_spaces, 42, static, 16, 2
-            )
-            assert k == len(pairs)
-            np.testing.assert_array_equal(edges.array[:k], pairs)
-            np.testing.assert_array_equal(keys.array[:k], keys_sorted)
-            np.testing.assert_array_equal(counts.array[0], owner_counts)
-
-    def test_gen_overflow_reply_leaves_buffers_untouched(self, small_dist):
-        from repro.parallel.mp_backend import PipelineWorkerPool
-        from repro.parallel.shm import PipelineArena
-
-        static = self._gen_static(small_dist, n_owners=1, n_shards=8)
-        n_spaces = len(static["p"])
-        with PipelineArena() as arena, PipelineWorkerPool(1, gen_static=static) as pool:
-            edges = arena.allocate("e", (1, 2), np.int64, fill=-1)
-            keys = arena.allocate("k", (1,), np.int64, fill=-1)
-            counts = arena.allocate("c", (1, 1), np.int64, fill=0)
-            msg = ("gen", 0, 0, n_spaces, 42, edges.descriptor, keys.descriptor,
-                   counts.descriptor, 0, 1)  # capacity 1: guaranteed overflow
-            (reply,) = pool.generate([msg])
-            tag, chunk, k = reply
-            assert tag == "overflow" and k > 1
-            assert (edges.array == -1).all()
-            assert (keys.array == -1).all()
-
-    def test_insert_matches_oneshot_registration(self):
-        """Worker-side span insertion reproduces the per-shard batch
-        protocol (and hence stats) of a single parent-side registration."""
-        from repro.parallel.hashtable import ShardedEdgeHashTable
-        from repro.parallel.mp_backend import PipelineWorkerPool
-        from repro.parallel.shm import SharedArray
-
-        rng = np.random.default_rng(13)
-        keys = rng.integers(0, 500, 1200).astype(np.int64)
-
-        ref = ShardedEdgeHashTable(4096, workers_hint=4)
-        ref.test_and_set(keys)
-        ref_stats = ref.per_shard_stats
-
-        table = ShardedEdgeHashTable(4096, workers_hint=4)
-        n_workers = 2
-        with PipelineWorkerPool(n_workers) as pool, \
-                SharedArray((len(keys),), np.int64) as keys_buf, \
-                SharedArray((len(keys),), np.uint8) as flags_buf, \
-                SharedArray((len(keys),), np.int64) as staged:
-            owner = table.shard_of(keys) % n_workers
-            order = np.argsort(owner, kind="stable")
-            staged.array[:] = keys[order]
-            bounds = np.zeros(n_workers + 1, dtype=np.int64)
-            np.cumsum(np.bincount(owner, minlength=n_workers), out=bounds[1:])
-            spans = [
-                [(staged.descriptor, int(bounds[w]), int(bounds[w + 1]))]
-                for w in range(n_workers)
-            ]
-            pool.bind(table, keys_buf, flags_buf)
-            pool.insert(spans)
-            for col in ref_stats:
-                np.testing.assert_array_equal(
-                    table.per_shard_stats[col], ref_stats[col],
-                    err_msg=f"per-shard {col} diverged",
-                )
-            # every key is now present
-            assert pool.test_and_set(keys).all()
-        ref.close()
-        table.close()
-
-    def test_rebind_switches_tables(self):
-        from repro.parallel.hashtable import ShardedEdgeHashTable
-        from repro.parallel.mp_backend import PipelineWorkerPool
-        from repro.parallel.shm import SharedArray
-
-        keys = np.arange(100, dtype=np.int64)
-        t1 = ShardedEdgeHashTable(1024, workers_hint=2)
-        t2 = ShardedEdgeHashTable(1024, workers_hint=2)
-        with PipelineWorkerPool(2) as pool, \
-                SharedArray((128,), np.int64) as kb, \
-                SharedArray((128,), np.uint8) as fb:
-            pool.bind(t1, kb, fb)
-            assert not pool.test_and_set(keys).any()
-            pool.bind(t2, kb, fb)
-            # the fresh table has no memory of the first one's keys
-            assert not pool.test_and_set(keys).any()
-            assert pool.test_and_set(keys).all()
-        t1.close()
-        t2.close()

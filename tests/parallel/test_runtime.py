@@ -21,6 +21,12 @@ class TestParallelConfig:
         with pytest.raises(ValueError, match="backend"):
             ParallelConfig(backend="gpu")
 
+    def test_process_backend_removed(self):
+        assert BACKENDS == ("vectorized", "serial")
+        removed = "process"
+        with pytest.raises(ValueError, match="backend"):
+            ParallelConfig(backend=removed)
+
     def test_invalid_threads(self):
         with pytest.raises(ValueError, match="threads"):
             ParallelConfig(threads=0)

@@ -1,5 +1,5 @@
 """Broker behavior: single-flight, backpressure, deadlines, retries,
-circuit breaker, priority ordering, and drain/restart persistence."""
+priority ordering, and drain/restart persistence."""
 
 import asyncio
 import json
@@ -12,11 +12,9 @@ import pytest
 from repro.core.generate import generate_graph
 from repro.graph.degree import DegreeDistribution
 from repro.graph.edgelist import EdgeList
-from repro.parallel.mp_backend import PoolFaultError
 from repro.parallel.runtime import ParallelConfig
 from repro.serve import (
     Broker,
-    CircuitBreaker,
     DeadlineError,
     JobSpec,
     ResultCache,
@@ -55,7 +53,7 @@ class TestSingleFlight:
     def test_n_duplicates_one_run(self):
         calls = []
 
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             calls.append(job.fingerprint)
             time.sleep(0.05)  # hold the run open so duplicates coalesce
             return graph_for(job)
@@ -114,7 +112,7 @@ class TestBackpressure:
     def test_queue_full_sheds_with_reason(self):
         release = threading.Event()
 
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             release.wait(5.0)
             return graph_for(job)
 
@@ -142,7 +140,7 @@ class TestBackpressure:
         release = threading.Event()
         order = []
 
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             if job.spec.seed == 0:
                 release.wait(5.0)
             order.append((job.spec.priority, job.spec.seed))
@@ -178,7 +176,7 @@ class TestBackpressure:
 
 class TestDeadlines:
     def test_deadline_returns_typed_error_but_run_completes(self):
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             time.sleep(0.3)
             return graph_for(job)
 
@@ -203,7 +201,7 @@ class TestDeadlines:
         release = threading.Event()
         ran = []
 
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             ran.append(job.spec.seed)
             release.wait(5.0)
             return graph_for(job)
@@ -229,10 +227,10 @@ class TestRetries:
     def test_retry_then_success(self):
         attempts = []
 
-        def run_fn(job, cfg, rung):
-            attempts.append(rung)
+        def run_fn(job, cfg):
+            attempts.append(1)
             if len(attempts) < 3:
-                raise PoolFaultError("injected", faults=[])
+                raise OSError("injected")
             return graph_for(job)
 
         async def main():
@@ -251,7 +249,7 @@ class TestRetries:
         assert stats["counters"]["serve.runs"] == 1
 
     def test_budget_exhausted_is_typed(self):
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             raise OSError("shm gone")
 
         async def main():
@@ -272,7 +270,7 @@ class TestRetries:
     def test_non_retryable_fails_fast(self):
         calls = []
 
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             calls.append(1)
             raise ValueError("bug, not fault")
 
@@ -286,66 +284,12 @@ class TestRetries:
         assert len(calls) == 1
 
 
-class TestCircuitBreaker:
-    def test_unit_trip_and_halfopen(self):
-        clock = [0.0]
-        br = CircuitBreaker(threshold=2, cooldown=10.0, clock=lambda: clock[0])
-        assert br.rung() == 0
-        br.record(0, ok=False)
-        assert br.rung() == 0
-        br.record(0, ok=False)  # second consecutive: trip
-        assert br.level == 1 and br.trips == 1
-        # degraded-but-ok results count as failure signals too
-        br.record(1, ok=True, degraded=True)
-        br.record(1, ok=True, degraded=True)
-        assert br.level == 2
-        clock[0] = 11.0  # cooldown elapsed: probe one rung up
-        assert br.rung() == 1
-        br.record(1, ok=True)  # probe succeeds: adopt rung 1
-        assert br.level == 1
-        clock[0] = 22.0
-        assert br.rung() == 0
-        br.record(0, ok=False)  # failed probe re-arms the cooldown
-        assert br.level == 1 and br.rung() == 1
-
-    def test_broker_degrades_new_work_instead_of_failing(self):
-        rungs = []
-
-        def run_fn(job, cfg, rung):
-            rungs.append(rung)
-            if rung < 2:
-                raise PoolFaultError("pool down", faults=[])
-            return graph_for(job)
-
-        async def main():
-            broker = await _started(
-                workers=1, max_retries=6, backoff_base=0.01,
-                backoff_cap=0.02, breaker_threshold=2,
-                breaker_cooldown=60.0, run_fn=run_fn,
-            )
-            client = ServeClient(broker)
-            first = await client.request(spec(seed=1))
-            second = await client.request(spec(seed=2))
-            stats = broker.stats()
-            await broker.drain()
-            return first, second, stats
-
-        first, second, stats = asyncio.run(main())
-        # the first job climbed the ladder via retries and still succeeded
-        assert first.run["rung"] == 2 and first.attempts == 5
-        # new work starts directly at the degraded rung: no failures at all
-        assert second.attempts == 1 and second.run["rung"] == 2
-        assert stats["breaker_level"] == 2
-        assert stats["breaker_trips"] == 2
-        assert rungs == [0, 0, 1, 1, 2, 2]
-
-
 class TestDrain:
     def test_drain_persists_queue_and_restart_resumes(self, tmp_path):
         release = threading.Event()
         ran = []
 
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             ran.append(job.spec.seed)
             if job.spec.seed == 0:
                 release.wait(5.0)
@@ -440,7 +384,7 @@ class TestHousekeeping:
         asyncio.run(main())
 
     def test_cache_bounds_enforced_under_load(self):
-        def run_fn(job, cfg, rung):
+        def run_fn(job, cfg):
             return graph_for(job)
 
         async def main():

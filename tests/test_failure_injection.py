@@ -1,8 +1,7 @@
 """Failure-injection and hardening tests.
 
 Exercises the error paths a long-running generation service would hit:
-capacity exhaustion, malformed inputs, degenerate sizes, kernels that
-raise mid-flight.
+capacity exhaustion, malformed inputs, degenerate sizes.
 """
 
 import numpy as np
@@ -103,53 +102,3 @@ class TestMalformedInputs:
         d = DegreeDistribution([], [])
         g, report = generate_graph(d, swap_iterations=2, config=ParallelConfig(seed=5))
         assert g.m == 0 and g.n == 0
-
-
-class TestProcessBackendFailures:
-    def test_kernel_exception_propagates(self):
-        from repro.parallel.mp_backend import process_chunk_map
-
-        cfg = ParallelConfig(threads=2, backend="process", seed=0)
-        with pytest.raises(Exception):
-            process_chunk_map(_raising_kernel, 10, cfg)
-
-    def test_swap_degrades_when_shared_memory_unavailable(self, monkeypatch):
-        from repro.core.swap import SwapStats
-        from repro.parallel import shm
-
-        g = EdgeList(np.arange(60), (np.arange(60) + 1) % 60)
-        expect = swap_edges(g, 4, ParallelConfig(seed=9, backend="vectorized"))
-
-        monkeypatch.setattr(shm, "HAVE_SHM", False)
-        stats = SwapStats()
-        out = swap_edges(
-            g, 4, ParallelConfig(seed=9, threads=2, backend="process"), stats=stats
-        )
-        np.testing.assert_array_equal(out.u, expect.u)
-        np.testing.assert_array_equal(out.v, expect.v)
-        assert stats.degraded
-        assert [f.kind for f in stats.faults] == ["unavailable"]
-
-    def test_generation_degrades_when_shared_memory_unavailable(self, monkeypatch):
-        from repro import generate_graph
-        from repro.parallel import shm
-
-        d = DegreeDistribution([1, 2, 4], [30, 14, 6])
-        cfg = dict(seed=13, threads=2, processes=2, backend="process")
-        expect, base = generate_graph(
-            d, swap_iterations=3, config=ParallelConfig(**cfg)
-        )
-        assert base.fused and not base.degraded
-
-        monkeypatch.setattr(shm, "HAVE_SHM", False)
-        out, report = generate_graph(
-            d, swap_iterations=3, config=ParallelConfig(**cfg)
-        )
-        np.testing.assert_array_equal(out.u, expect.u)
-        np.testing.assert_array_equal(out.v, expect.v)
-        assert report.degraded and not report.fused
-        assert [f.kind for f in report.faults] == ["unavailable", "unavailable"]
-
-
-def _raising_kernel(lo, hi, seed):
-    raise RuntimeError("injected failure")

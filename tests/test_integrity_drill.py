@@ -1,14 +1,14 @@
 """Bit-rot drills: every artifact class, flipped, must be repaired or typed.
 
 The proof obligation of the integrity layer: for each artifact class
-(``table``, ``journal``, ``spill``, ``checkpoint``, ``cache``) a
+(``table``, ``spill``, ``checkpoint``, ``cache``) a
 ``bitflip:<artifact>:<n>`` plan corrupts exactly one bit/byte mid-run,
 and the run must either
 
 - **repair** — detect, quarantine the corrupt state, and recompute from
   a validated state so the final output is *bitwise equal* to the
-  fault-free run (the degradation ladder's bitwise identity is the
-  repair mechanism), or
+  fault-free run (checkpoint replay's bitwise identity is the repair
+  mechanism), or
 - **raise typed** — surface an :class:`~repro.verify.IntegrityError`
   subclass, never a silently wrong graph.
 """
@@ -49,73 +49,21 @@ class TestTableDrill:
         with pytest.raises(GraphIntegrityError):
             swap_edges(g, 3, cfg)
 
-    def test_process_flip_repaired_bitwise(self):
-        """The process attempt detects the flip and replays vectorized."""
-        from repro.parallel import shm
-
-        if not shm.HAVE_SHM:
-            pytest.skip("no POSIX shared memory")
-        g = _ring()
-        kw = dict(threads=2, processes=2, seed=5)
-        expect = swap_edges(_ring(), 3, ParallelConfig(backend="process", **kw))
-        from repro.core.swap import SwapStats
-
-        stats = SwapStats()
-        cfg = ParallelConfig(backend="process", verify="full",
-                             faults="bitflip:table:0", **kw)
-        out = swap_edges(g, 3, cfg, stats=stats)
-        np.testing.assert_array_equal(out.u, expect.u)
-        np.testing.assert_array_equal(out.v, expect.v)
-        assert stats.degraded
-        assert any(f.kind == "integrity" for f in stats.faults)
-
-
-class TestJournalDrill:
-    def test_killmid_with_garbled_journal_repaired_bitwise(self):
-        """A garbled journal fails CRC at rollback; the run degrades and replays."""
-        from repro.parallel import shm
-
-        if not shm.HAVE_SHM:
-            pytest.skip("no POSIX shared memory")
-        g = _ring()
-        kw = dict(threads=2, processes=2, seed=5)
-        expect = swap_edges(_ring(), 3, ParallelConfig(backend="process", **kw))
-        from repro.core.swap import SwapStats
-
-        stats = SwapStats()
-        cfg = ParallelConfig(
-            backend="process",
-            faults="killmid:w0:tas:0,bitflip:journal:0",
-            **kw,
+    def test_flip_repaired_via_checkpoint_replay(self, tmp_path):
+        """With a checkpoint store, generate retries from the last snapshot."""
+        kw = dict(seed=5, backend="vectorized", threads=2)
+        expect, _ = generate_graph(
+            DIST, swap_iterations=3, config=ParallelConfig(**kw)
         )
-        out = swap_edges(g, 3, cfg, stats=stats)
+        out, report = generate_graph(
+            DIST, swap_iterations=3,
+            config=ParallelConfig(verify="full", faults="bitflip:table:0", **kw),
+            checkpoint_dir=tmp_path / "ck", checkpoint_every=1,
+        )
         np.testing.assert_array_equal(out.u, expect.u)
         np.testing.assert_array_equal(out.v, expect.v)
-        assert stats.degraded
-        assert any(f.kind == "integrity" for f in stats.faults)
-
-    def test_journal_crc_detects_garbled_frame(self):
-        """Unit-level: a flipped journal word fails the framed CRC check."""
-        from repro.parallel import shm as shm_mod
-        from repro.parallel.hashtable import ShardedEdgeHashTable, pack_edges
-
-        if not shm_mod.HAVE_SHM:
-            pytest.skip("no POSIX shared memory")
-        from repro.parallel.hashtable import ShardJournal
-
-        table = ShardedEdgeHashTable(64, n_shards=2)
-        try:
-            journal = ShardJournal(2, 64)
-            try:
-                journal.begin(table)
-                journal.record(0, np.array([1, 2, 3], dtype=np.int64))
-                journal._buf[journal._stats_hi] ^= 1 << 17
-                with pytest.raises(ChecksumError):
-                    journal.rollback(table, [0, 1])
-            finally:
-                journal.close()
-        finally:
-            table.close()
+        assert report.degraded
+        assert any(f.kind == "integrity" for f in report.faults)
 
 
 class TestSpillDrill:
@@ -205,7 +153,7 @@ class TestEveryArtifactCovered:
         """Every artifact class the grammar accepts has a drill above."""
         from repro.parallel.faultinject import BITFLIP_ARTIFACTS
 
-        covered = {"table", "journal", "spill", "checkpoint", "cache"}
+        covered = {"table", "spill", "checkpoint", "cache"}
         assert set(BITFLIP_ARTIFACTS) == covered
 
     def test_integrity_errors_are_one_family(self):

@@ -85,7 +85,7 @@ class TestBaselineGoldens:
 
 
 def _golden_chunk_kernel(lo, hi, seed):
-    """Module-level (picklable) kernel for the process_chunk_map golden."""
+    """Kernel for the chunk_map golden."""
     return np.random.default_rng(seed).integers(0, 1000, size=hi - lo)
 
 
@@ -94,7 +94,7 @@ class TestExactBackendGoldens:
 
     Unlike the banded goldens above, these assert bit-exact results: the
     swap engine and the chunk mapper are deterministic for a fixed seed,
-    and every backend must reproduce the same bits.
+    and both backends must reproduce the same bits.
     """
 
     @staticmethod
@@ -107,7 +107,7 @@ class TestExactBackendGoldens:
         keep = u != v
         return EdgeList(u[keep], v[keep], 60).simplify()
 
-    @pytest.mark.parametrize("backend", ["vectorized", "serial", "process"])
+    @pytest.mark.parametrize("backend", ["vectorized", "serial"])
     def test_swap_edges_exact_output(self, backend):
         from repro.parallel.hashtable import pack_edges
 
@@ -124,12 +124,12 @@ class TestExactBackendGoldens:
         assert stats.proposed == 716
         assert stats.accepted == 354
 
-    @pytest.mark.parametrize("backend", ["vectorized", "process"])
+    @pytest.mark.parametrize("backend", ["vectorized"])
     def test_process_chunk_map_exact_output(self, backend):
-        from repro.parallel.mp_backend import process_chunk_map
+        from repro.parallel.runtime import chunk_map
 
         cfg = ParallelConfig(threads=4, backend=backend, seed=5)
-        out = np.concatenate(process_chunk_map(_golden_chunk_kernel, 32, cfg))
+        out = np.concatenate(chunk_map(_golden_chunk_kernel, 32, cfg))
         assert int(out.sum()) == 17623
         assert out[:8].tolist() == [336, 948, 126, 557, 782, 68, 315, 15]
         assert out[-4:].tolist() == [296, 792, 175, 823]
