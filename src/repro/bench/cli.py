@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         reaped = reap_stale_spill()
         if reaped:
             print(
-                f"reaped {len(reaped)} stale spill file(s)",
+                f"reaped {len(reaped)} stale spill artifact(s)",
                 file=sys.stderr,
             )
     except Exception:

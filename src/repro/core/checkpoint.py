@@ -49,9 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.storage import _pid_alive
+from repro.core.storage import _pid_alive, _stale_entry, _unlink_reported
 from repro.obs import trace as obs_trace
-from repro.parallel import faultinject
 
 __all__ = [
     "FORMAT_VERSION",
@@ -102,7 +101,7 @@ def run_fingerprint(**fields) -> str:
     Callers pass the fields that pin down the run's *output* — input
     digest, seed, logical thread count, iteration budget, null-model
     space — and get a stable hex digest.  Execution details that do not
-    change the output (backend, fault plans) must be left out: resuming a
+    change the output (the backend) must be left out: resuming a
     ``serial``-backend swap checkpoint on the ``vectorized`` backend is
     explicitly supported, because both swap engines are
     bitwise-identical.
@@ -233,10 +232,7 @@ class CheckpointStore:
         The payload ``.npz`` is renamed into place before the manifest,
         so a manifest on disk always refers to a fully written payload;
         the manifest carries the payload's SHA-256, so truncation of
-        *either* file is detected at load time.  After the snapshot is
-        durable the parent-kill fault hook fires (``parentkill`` plans —
-        see :mod:`repro.parallel.faultinject` — SIGKILL the driver here
-        to drill resume).
+        *either* file is detected at load time.
         """
         if phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
@@ -263,7 +259,6 @@ class CheckpointStore:
             "fingerprint": fingerprint,
             "meta": meta or {},
         }
-        flip_target: Path | None = None
         if raw:
             entries = {}
             for name, arr in arrs.items():
@@ -275,8 +270,6 @@ class CheckpointStore:
                     "bytes": int(arr.nbytes),
                     "sha256": self._write_raw(self._dir / fname, arr),
                 }
-                if flip_target is None and arr.nbytes:
-                    flip_target = self._dir / fname
             manifest["payload_kind"] = "raw"
             manifest["arrays"] = entries
             manifest["payload_bytes"] = total
@@ -291,7 +284,6 @@ class CheckpointStore:
             manifest["payload_bytes"] = len(payload)
             manifest["sha256"] = hashlib.sha256(payload).hexdigest()
             payload_len = len(payload)
-            flip_target = self._dir / payload_name
         _atomic_write(
             self._dir,
             self._dir / f"snap-{seq:08d}.json",
@@ -307,12 +299,6 @@ class CheckpointStore:
             )
             tr.metrics.inc("checkpoint.writes")
             tr.metrics.inc("checkpoint.bytes", payload_len)
-        # bitrot drill hook: corrupt the durable payload *after* its
-        # digest landed in the manifest — load-time SHA-256 verification
-        # plus the load_latest fallback are the detection/repair pair
-        if flip_target is not None:
-            faultinject.maybe_flip_file("checkpoint", flip_target)
-        faultinject.fire_parent("checkpoint")
         return seq
 
     def _write_raw(self, final: Path, arr: np.ndarray) -> str:
@@ -602,88 +588,24 @@ def as_store(source) -> CheckpointStore | None:
     return CheckpointStore(source)
 
 
-def reap_stale_checkpoints(root) -> list[str]:
-    """Collect checkpoint artifacts whose owning run is over.
+def report_stale_checkpoints(root) -> list[dict]:
+    """Checkpoint artifacts whose owning run is over; removes nothing.
 
-    The pid-stamping pattern of :func:`repro.core.storage.reap_stale_spill`
+    The pid-stamping pattern of :func:`repro.core.storage.report_stale_spill`
     applied to the checkpoint tree rooted at ``root`` (a store directory
     or a directory of store directories):
 
     1. **temporaries** — ``.tmp-<pid>-*`` files whose writer pid is dead
-       are half-written snapshots that will never be renamed; unlink.
-    2. **finished runs** — a store whose newest valid snapshot is
-       ``done`` and was stamped by a now-dead pid has delivered its
-       result; its snapshots are removed (and the directory, if empty).
+       are half-written snapshots that will never be renamed;
+    2. **finished runs** — every snapshot file of a store whose newest
+       valid snapshot is ``done`` and was stamped by a now-dead pid.
 
-    Live runs are never touched: an alive stamped pid, or any phase
+    Live runs are never listed: an alive stamped pid, or any phase
     short of ``done``, keeps the store intact — that is precisely the
-    state a crashed run resumes from.  Returns the removed paths.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        return []
-    removed: list[str] = []
-    dirs = [root] + [p for p in root.iterdir() if p.is_dir()]
-    for d in dirs:
-        try:
-            names = sorted(os.listdir(d))
-        except OSError:  # pragma: no cover - racing removal
-            continue
-        for fn in names:
-            if not fn.startswith(".tmp-"):
-                continue
-            parts = fn.split("-")
-            try:
-                pid = int(parts[1])
-            except (IndexError, ValueError):
-                continue
-            if _pid_alive(pid):
-                continue
-            try:
-                os.unlink(d / fn)
-                removed.append(str(d / fn))
-            except OSError:  # pragma: no cover - racing reaper
-                pass
-        store = CheckpointStore(d)
-        manifests = store._manifests()
-        if not manifests:
-            continue
-        newest = None
-        for seq, path in sorted(manifests, reverse=True):
-            newest = store._decode(seq, path)
-            if newest is not None:
-                break
-        if newest is None or newest.phase != "done":
-            continue
-        try:
-            with open(d / f"snap-{newest.seq:08d}.json", "rb") as fh:
-                pid = int(json.load(fh).get("pid", -1))
-        except (OSError, ValueError, TypeError):  # pragma: no cover
-            continue
-        if _pid_alive(pid):
-            continue
-        for seq, _ in manifests:
-            for target in store._snapshot_paths(seq):
-                try:
-                    os.unlink(target)
-                    removed.append(str(target))
-                except OSError:  # pragma: no cover - racing reaper
-                    pass
-        if d != root:
-            try:
-                d.rmdir()
-            except OSError:  # pragma: no cover - leftover foreign files
-                pass
-    return removed
-
-
-def report_stale_checkpoints(root) -> list[dict]:
-    """Dry-run twin of :func:`reap_stale_checkpoints`: report, never unlink.
-
-    Returns one dict per artifact the reaper *would* remove —
-    ``{"path", "pid", "bytes", "age_seconds", "kind"}`` — covering dead
-    writers' temporaries and finished (``done``, dead-owner) stores.
-    Used by the bench CLI's ``--reap-dry-run``.
+    state a crashed run resumes from.  Returns one dict per artifact —
+    ``{"path", "pid", "bytes", "age_seconds", "kind"}``;
+    :func:`reap_stale_checkpoints` removes exactly these paths, and the
+    bench CLI's ``--reap-dry-run`` prints them.
     """
     root = Path(root)
     if not root.is_dir():
@@ -692,19 +614,9 @@ def report_stale_checkpoints(root) -> list[dict]:
     report: list[dict] = []
 
     def add(path, pid: int) -> None:
-        try:
-            st = os.stat(path)
-        except OSError:
-            return
-        report.append(
-            {
-                "path": str(path),
-                "pid": pid,
-                "bytes": int(st.st_size),
-                "age_seconds": max(0.0, now - st.st_mtime),
-                "kind": "checkpoint",
-            }
-        )
+        entry = _stale_entry(path, pid, "checkpoint", now)
+        if entry is not None:
+            report.append(entry)
 
     dirs = [root] + [p for p in root.iterdir() if p.is_dir()]
     for d in dirs:
@@ -744,3 +656,21 @@ def report_stale_checkpoints(root) -> list[dict]:
             for target in store._snapshot_paths(seq):
                 add(target, pid)
     return report
+
+
+def reap_stale_checkpoints(root) -> list[str]:
+    """Remove the artifacts :func:`report_stale_checkpoints` lists.
+
+    Returns the paths actually removed.  A finished store's directory
+    below ``root`` is removed too once it is empty.  Wired into the
+    bench CLI and the serving broker.
+    """
+    root = Path(root)
+    removed = _unlink_reported(report_stale_checkpoints(root))
+    for d in {Path(p).parent for p in removed if Path(p).name.startswith("snap-")}:
+        if d != root:
+            try:
+                d.rmdir()
+            except OSError:  # pragma: no cover - leftover foreign files
+                pass
+    return removed

@@ -46,7 +46,6 @@ from repro.graph.degree import (
 from repro.graph.edgelist import EdgeList
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import record_memory_stats
-from repro.parallel import faultinject
 from repro.parallel.cost_model import CostModel
 from repro.parallel.runtime import ParallelConfig
 from repro.verify import IntegrityError, verify_graph
@@ -123,8 +122,6 @@ class GenerationReport:
     #: replayed from the newest validated checkpoint; the replay is
     #: bitwise-identical — the output is unaffected, only the execution path
     degraded: bool = False
-    #: FaultEvent records of the repairs when :attr:`degraded` is set
-    faults: list = field(default_factory=list)
     #: this run resumed from a crash-consistent checkpoint (its
     #: ``phase_seconds``/``wall_seconds``/``cost`` cover only the replayed
     #: tail; ``cumulative_*`` fold in the interrupted attempts' spend; the
@@ -270,7 +267,6 @@ def _generate(
     fingerprint = ""
     resume_snap = None
     if store is not None or resume_from is not None:
-        faultinject.arm_from(config)
         fingerprint = generation_fingerprint(
             dist, swap_iterations, config, probability_kwargs
         )
@@ -334,7 +330,6 @@ def _generate(
         )
 
     degraded = False
-    run_faults: list = []
     resuming = resume_snap is not None and resume_snap.phase in ("edges", "swap")
     # expected edge count (half the total degree) sizes the generation
     # phase's storage plan before any edge exists
@@ -425,7 +420,6 @@ def _generate(
                 tr.event("integrity.swap_retry", fingerprint=fingerprint)
                 tr.metrics.inc("integrity.repairs")
             degraded = True
-            run_faults.append(faultinject.FaultEvent("integrity"))
             swap_stats = SwapStats()
             out = swap_edges(
                 edges,
@@ -466,7 +460,6 @@ def _generate(
         wall_seconds=time.perf_counter() - wall0,
         prior_phase_seconds=prior_phase_seconds,
         degraded=degraded,
-        faults=run_faults,
         resumed=resume_snap is not None,
     )
     return out, report

@@ -107,6 +107,33 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _stale_entry(path, pid: int, kind: str, now: float) -> dict | None:
+    """One stale-artifact report entry; ``None`` if the path is gone."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return {
+        "path": str(path),
+        "pid": pid,
+        "bytes": int(st.st_size),
+        "age_seconds": max(0.0, now - st.st_mtime),
+        "kind": kind,
+    }
+
+
+def _unlink_reported(entries: list[dict]) -> list[str]:
+    """Unlink every reported path; returns the ones actually removed."""
+    removed: list[str] = []
+    for entry in entries:
+        try:
+            os.unlink(entry["path"])
+        except OSError:  # racing reaper
+            continue
+        removed.append(entry["path"])
+    return removed
+
+
 def spill_dir() -> str:
     """Directory holding spill files and manifests (created on first use)."""
     d = os.environ.get("REPRO_SPILL_DIR") or os.path.join(
@@ -590,23 +617,21 @@ def total_bytes_mapped() -> int:
 # -- stale-spill reaping ---------------------------------------------------
 
 
-def reap_stale_spill(*, directory: str | None = None) -> list[str]:
-    """Unlink spill artifacts whose owning process is gone.
+def report_stale_spill(*, directory: str | None = None) -> list[dict]:
+    """Spill artifacts whose owning process is gone; removes nothing.
 
     Two sweeps of the spill directory, both restricted to this library's
     naming scheme:
 
     1. **manifests** — every ``repro-spill-<pid>-<seq>.json`` whose
-       stamped pid is dead has its listed files unlinked and the
-       manifest removed;
+       stamped pid is dead, plus the files it lists;
     2. **name scan** — every ``repro-spill-<pid>-…`` file with a dead
-       owner pid is unlinked (covers files created outside a store, e.g.
-       a streaming appender's output).
+       owner pid (covers files created outside a store, e.g. a streaming
+       appender's output).
 
-    Returns the paths actually removed.  Safe to run concurrently with
-    live runs (live owners are skipped) and with other reapers (races
-    resolve to one winner).  Wired into the bench CLI and the serving
-    broker so crashed runs are collected automatically.
+    Returns one dict per artifact — ``{"path", "pid", "bytes",
+    "age_seconds", "kind"}``; :func:`reap_stale_spill` removes exactly
+    these paths, and the bench CLI's ``--reap-dry-run`` prints them.
     """
     try:
         d = directory or spill_dir()
@@ -614,7 +639,18 @@ def reap_stale_spill(*, directory: str | None = None) -> list[str]:
         return []
     if not os.path.isdir(d):
         return []
-    removed: list[str] = []
+    now = time.time()
+    seen: set[str] = set()
+    report: list[dict] = []
+
+    def add(path: str, pid: int) -> None:
+        if path in seen:
+            return
+        entry = _stale_entry(path, pid, "spill", now)
+        if entry is not None:
+            seen.add(path)
+            report.append(entry)
+
     names = sorted(os.listdir(d))
     for fn in names:
         if not (fn.startswith(SPILL_PREFIX) and fn.endswith(".json")):
@@ -630,87 +666,6 @@ def reap_stale_spill(*, directory: str | None = None) -> list[str]:
         if _pid_alive(pid):
             continue
         for target in files:
-            if not os.path.basename(target).startswith(SPILL_PREFIX):
-                continue
-            try:
-                os.unlink(target)
-                removed.append(target)
-            except OSError:
-                pass
-        try:
-            os.unlink(path)
-        except OSError:  # pragma: no cover - racing reaper
-            pass
-    for fn in names:
-        if not (fn.startswith(SPILL_PREFIX) and fn.endswith(".bin")):
-            continue
-        stem = fn[len(SPILL_PREFIX):]
-        try:
-            pid = int(stem.split("-", 1)[0])
-        except ValueError:
-            continue
-        if _pid_alive(pid):
-            continue
-        path = os.path.join(d, fn)
-        try:
-            os.unlink(path)
-            removed.append(path)
-        except OSError:  # pragma: no cover - racing reaper
-            pass
-    return removed
-
-
-def report_stale_spill(*, directory: str | None = None) -> list[dict]:
-    """Dry-run twin of :func:`reap_stale_spill`: report, never unlink.
-
-    Returns one dict per artifact the reaper *would* remove —
-    ``{"path", "pid", "bytes", "age_seconds", "kind"}`` — covering both
-    sweeps (manifest-listed files and pid-stamped ``.bin`` names).  Used
-    by the bench CLI's ``--reap-dry-run``.
-    """
-    try:
-        d = directory or spill_dir()
-    except OSError:  # pragma: no cover - unusable temp dir
-        return []
-    if not os.path.isdir(d):
-        return []
-    now = time.time()
-    seen: set[str] = set()
-    report: list[dict] = []
-
-    def add(path: str, pid: int) -> None:
-        if path in seen:
-            return
-        try:
-            st = os.stat(path)
-        except OSError:
-            return
-        seen.add(path)
-        report.append(
-            {
-                "path": path,
-                "pid": pid,
-                "bytes": int(st.st_size),
-                "age_seconds": max(0.0, now - st.st_mtime),
-                "kind": "spill",
-            }
-        )
-
-    names = sorted(os.listdir(d))
-    for fn in names:
-        if not (fn.startswith(SPILL_PREFIX) and fn.endswith(".json")):
-            continue
-        path = os.path.join(d, fn)
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            pid = int(data.get("pid", -1))
-            files = list(data.get("files", ()))
-        except (OSError, ValueError, TypeError):
-            continue
-        if _pid_alive(pid):
-            continue
-        for target in files:
             if os.path.basename(target).startswith(SPILL_PREFIX):
                 add(target, pid)
         add(path, pid)
@@ -722,7 +677,17 @@ def report_stale_spill(*, directory: str | None = None) -> list[dict]:
             pid = int(stem.split("-", 1)[0])
         except ValueError:
             continue
-        if _pid_alive(pid):
-            continue
-        add(os.path.join(d, fn), pid)
+        if not _pid_alive(pid):
+            add(os.path.join(d, fn), pid)
     return report
+
+
+def reap_stale_spill(*, directory: str | None = None) -> list[str]:
+    """Unlink the artifacts :func:`report_stale_spill` lists.
+
+    Returns the paths actually removed.  Safe to run concurrently with
+    live runs (live owners are skipped) and with other reapers (races
+    resolve to one winner).  Wired into the bench CLI and the serving
+    broker so crashed runs are collected automatically.
+    """
+    return _unlink_reported(report_stale_spill(directory=directory))

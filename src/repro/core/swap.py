@@ -53,7 +53,7 @@ import contextlib
 import hashlib
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,7 +75,6 @@ from repro.graph.edgelist import EdgeList
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import record_memory_stats, record_table_stats
 from repro.obs.mixing import MixingProbe, MixingTrajectory
-from repro.parallel import faultinject
 from repro.parallel.cost_model import CostModel
 from repro.parallel.hashtable import ConcurrentEdgeHashTable, pack_edges
 from repro.parallel.permutation import (
@@ -113,15 +112,21 @@ def _open_swap_store(config, m):
     return open_store("mmap"), plan.window
 
 
-def _store_working_arrays(store, window, u_src, v_src, m):
-    """Allocate the loop's persistent arrays from a store (windowed fill)."""
+def _store_working_arrays(store, window, u_src, v_src, swapped_src, m):
+    """Allocate the loop's persistent arrays from a store (windowed fill).
+
+    ``swapped_src`` is ``None`` on a fresh run (no edge has swapped yet).
+    """
     tag = next(_STORE_SEQ)
     u = store.empty(f"swap{tag}_u", m, np.int64)
     v = store.empty(f"swap{tag}_v", m, np.int64)
     swapped = store.empty(f"swap{tag}_swapped", m, np.bool_)
     copy_into(u, u_src, window)
     copy_into(v, v_src, window)
-    swapped[:] = False
+    if swapped_src is None:
+        swapped[:] = False
+    else:
+        copy_into(swapped, swapped_src, window)
     return u, v, swapped
 
 
@@ -159,18 +164,12 @@ class SwapStats:
         and merge it into the caller's at the end, so snapshots carry
         exactly one run's cumulative counts.
         """
-        self.iterations += other.iterations
-        self.proposed += other.proposed
-        self.accepted += other.accepted
-        self.rejected_duplicate += other.rejected_duplicate
-        self.rejected_self_loop += other.rejected_self_loop
-        self.accepted_per_iteration.extend(other.accepted_per_iteration)
-        self.swapped_fraction_per_iteration.extend(
-            other.swapped_fraction_per_iteration
-        )
-        self.table_failures += other.table_failures
-        self.table_attempts += other.table_attempts
-        self.permutation_rounds += other.permutation_rounds
+        for name in _COUNTED_FIELDS:
+            mine = getattr(self, name)
+            if isinstance(mine, list):
+                mine.extend(getattr(other, name))
+            else:
+                setattr(self, name, mine + getattr(other, name))
         if other.mixing is not None:
             self.mixing = other.mixing
 
@@ -185,6 +184,11 @@ class SwapStats:
         if not self.swapped_fraction_per_iteration:
             return 0.0
         return self.swapped_fraction_per_iteration[-1]
+
+
+#: every :class:`SwapStats` field but ``mixing``: the counters a merge sums
+#: (lists concatenate) and a snapshot persists under the field's name
+_COUNTED_FIELDS = tuple(f.name for f in fields(SwapStats) if f.name != "mixing")
 
 
 # -- checkpoint/resume plumbing -------------------------------------------
@@ -202,41 +206,24 @@ def _stats_to_meta(stats: SwapStats | None) -> dict | None:
     """JSON-safe snapshot of a :class:`SwapStats` (mixing excluded)."""
     if stats is None:
         return None
-    return {
-        "iterations": int(stats.iterations),
-        "proposed": int(stats.proposed),
-        "accepted": int(stats.accepted),
-        "rejected_duplicate": int(stats.rejected_duplicate),
-        "rejected_self_loop": int(stats.rejected_self_loop),
-        "accepted_per_iteration": [int(x) for x in stats.accepted_per_iteration],
-        "swapped_fraction_per_iteration": [
-            float(x) for x in stats.swapped_fraction_per_iteration
-        ],
-        "table_failures": int(stats.table_failures),
-        "table_attempts": int(stats.table_attempts),
-        "permutation_rounds": int(stats.permutation_rounds),
-    }
+    meta = {}
+    for name in _COUNTED_FIELDS:
+        value = getattr(stats, name)
+        # tolist() turns numpy scalars into the Python ints/floats json takes
+        meta[name] = (
+            np.asarray(value).tolist() if isinstance(value, list) else int(value)
+        )
+    return meta
 
 
 def _stats_from_meta(meta: dict | None) -> SwapStats:
     """Rebuild a :class:`SwapStats` from :func:`_stats_to_meta` output."""
     stats = SwapStats()
-    if not meta:
-        return stats
-    stats.iterations = int(meta.get("iterations", 0))
-    stats.proposed = int(meta.get("proposed", 0))
-    stats.accepted = int(meta.get("accepted", 0))
-    stats.rejected_duplicate = int(meta.get("rejected_duplicate", 0))
-    stats.rejected_self_loop = int(meta.get("rejected_self_loop", 0))
-    stats.accepted_per_iteration = [
-        int(x) for x in meta.get("accepted_per_iteration", ())
-    ]
-    stats.swapped_fraction_per_iteration = [
-        float(x) for x in meta.get("swapped_fraction_per_iteration", ())
-    ]
-    stats.table_failures = int(meta.get("table_failures", 0))
-    stats.table_attempts = int(meta.get("table_attempts", 0))
-    stats.permutation_rounds = int(meta.get("permutation_rounds", 0))
+    for name in _COUNTED_FIELDS:
+        if meta and name in meta:
+            value = meta[name]
+            default = getattr(stats, name)
+            setattr(stats, name, list(value) if isinstance(default, list) else int(value))
     return stats
 
 
@@ -510,13 +497,17 @@ def swap_edges(
     if checkpoint_every and checkpoint_dir is None:
         raise ValueError("checkpoint_every requires checkpoint_dir")
     store = as_store(checkpoint_dir) if checkpoint_dir is not None else None
+    # the degree sequence every swap preserves: the checkpointer validates
+    # each snapshot against it and the loop the final output
+    target_degrees = None
+    if config.verify != "off" and m:
+        target_degrees = np.bincount(graph.u, minlength=graph.n) + np.bincount(
+            graph.v, minlength=graph.n
+        )
     ckpt = None
     resume_state = None
     fingerprint = ""
     if store is not None or resume_from is not None:
-        # durable runs arm driver-side fault specs (the resume drill's
-        # parentkill fires from CheckpointStore.save)
-        faultinject.arm_from(config)
         fingerprint = _fingerprint or _swap_fingerprint(
             graph, iterations, config, space, probing
         )
@@ -533,27 +524,30 @@ def swap_edges(
                 base = resume_state.phase_seconds
             else:
                 base = None
-            ckpt_degrees = None
-            if config.verify != "off" and m:
-                ckpt_degrees = np.bincount(
-                    graph.u, minlength=graph.n
-                ) + np.bincount(graph.v, minlength=graph.n)
             ckpt = _SwapCheckpointer(
                 store, checkpoint_every, fingerprint, iterations,
                 timing_base=base, verify=config.verify,
-                n_vertices=graph.n, degrees=ckpt_degrees,
+                n_vertices=graph.n, degrees=target_degrees,
             )
 
     rng = config.generator()
+    # the working arrays start from the resumed snapshot, else the input
+    if resume_state is not None:
+        u_src, v_src = resume_state.u, resume_state.v
+        swapped_src = resume_state.swapped
+    else:
+        u_src, v_src, swapped_src = graph.u, graph.v, None
     run_store, window = _open_swap_store(config, m)
     if run_store is not None:
         u, v, swapped = _store_working_arrays(
-            run_store, window, graph.u, graph.v, m
+            run_store, window, u_src, v_src, swapped_src, m
         )
     else:
-        u = graph.u.copy()
-        v = graph.v.copy()
-        swapped = np.zeros(m, dtype=bool)
+        u = u_src.copy()
+        v = v_src.copy()
+        swapped = (
+            np.zeros(m, dtype=bool) if swapped_src is None else swapped_src.copy()
+        )
     n_pairs = m // 2
     start_it = 0
     # with checkpointing active, run against a run-local SwapStats so
@@ -562,14 +556,6 @@ def swap_edges(
     local = SwapStats() if ckpt is not None or resume_state is not None else None
     loop_stats = local if local is not None else stats
     if resume_state is not None:
-        if run_store is not None:
-            copy_into(u, resume_state.u, window)
-            copy_into(v, resume_state.v, window)
-            copy_into(swapped, resume_state.swapped, window)
-        else:
-            u = resume_state.u.copy()
-            v = resume_state.v.copy()
-            swapped = resume_state.swapped.copy()
         _restore_rng(rng, resume_state.rng_state)
         start_it = resume_state.start_iteration
         if loop_stats is not None:
@@ -590,7 +576,7 @@ def swap_edges(
             u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
             check_duplicates, check_loops, loop_stats, cost, callback, graph.n,
             start_iteration=start_it, checkpointer=ckpt,
-            store=run_store, window=window,
+            store=run_store, window=window, target_degrees=target_degrees,
         )
     tr = obs_trace.current()
     if tr is not None:
@@ -615,6 +601,7 @@ def _swap_loop(
     checkpointer=None,
     store=None,
     window: int = 0,
+    target_degrees=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The per-iteration body of :func:`swap_edges` (backend-agnostic).
 
@@ -644,19 +631,14 @@ def _swap_loop(
     win = int(window) if window else DEFAULT_WINDOW
     pong: dict[str, np.ndarray] = {}  # spare twin per array name
 
-    # Integrity tier (repro.verify): record the target degree sequence
-    # and whether the *input* is already loop/duplicate-free — swaps
-    # preserve degrees unconditionally but can only destroy loops and
-    # duplicates, so structural simplicity is asserted on the output
-    # only when it held on the input.
-    tier = getattr(config, "verify", "off")
-    target_degrees = None
+    # Integrity tier (repro.verify): the output must keep
+    # ``target_degrees``, and it must be loop/duplicate-free when the
+    # *input* already was — swaps preserve degrees unconditionally but
+    # can only destroy loops and duplicates.
+    tier = config.verify
     clean_loops = False
     clean_dups = False
     if tier != "off" and m:
-        target_degrees = np.bincount(u, minlength=n_vertices) + np.bincount(
-            v, minlength=n_vertices
-        )
         clean_loops = check_loops and not bool((u == v).any())
         if tier == "full" and check_duplicates:
             k0 = np.sort(pack_edges(u, v))
@@ -685,12 +667,9 @@ def _swap_loop(
         if guard is not None and guard_sealed:
             # spill-resident rounds: re-verify the windows sealed at the
             # end of the previous round before trusting their contents
-            faultinject.maybe_flip_array("spill", u)
-            guard.check("u", u)
-            guard.check("v", v)
-            guard.check("swapped", swapped)
-            if keys is not None:
-                guard.check("keys", keys)
+            for name, arr in (("u", u), ("v", v), ("swapped", swapped), ("keys", keys)):
+                if arr is not None:
+                    guard.check(name, arr)
         table.clear()
         attempts_before = table.stats.attempts
         failures_before = table.stats.failures
@@ -708,7 +687,6 @@ def _swap_loop(
                 else:
                     keys = pack_edges(u, v)
             tas(keys)
-            faultinject.maybe_flip_array("table", table._slots)
             if tier == "full" and clean_dups:
                 # immediately post-registration is the only point where
                 # the table is exactly the current edge set (failed
@@ -832,11 +810,9 @@ def _swap_loop(
         if checkpointer is not None:
             checkpointer.after_round(it, u, v, swapped, rng, stats)
         if guard is not None:
-            guard.seal("u", u)
-            guard.seal("v", v)
-            guard.seal("swapped", swapped)
-            if keys is not None:
-                guard.seal("keys", keys)
+            for name, arr in (("u", u), ("v", v), ("swapped", swapped), ("keys", keys)):
+                if arr is not None:
+                    guard.seal(name, arr)
             guard_sealed = True
 
     if tier != "off" and m:

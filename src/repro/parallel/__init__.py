@@ -14,9 +14,7 @@ runtime.  It provides:
 - :mod:`repro.parallel.atomics` — simulated atomic primitives with
   contention accounting;
 - :mod:`repro.parallel.cost_model` — work/span accounting that converts
-  measured work into simulated p-thread wall-clock for scaling studies;
-- :mod:`repro.parallel.faultinject` — the deterministic fault-injection
-  harness behind the checkpoint-resume and bit-rot drills.
+  measured work into simulated p-thread wall-clock for scaling studies.
 
 The default engine executes each parallel algorithm's *round structure*
 with vectorized numpy kernels: conflicts (hash-table slot collisions,
@@ -37,7 +35,6 @@ from repro.parallel.permutation import (
 )
 from repro.parallel.hashtable import ConcurrentEdgeHashTable, pack_edges, unpack_edges
 from repro.parallel.cost_model import CostModel, PhaseCost
-from repro.parallel.faultinject import FaultEvent, FaultPlan, FaultSpec, parse_plan
 
 __all__ = [
     "ParallelConfig",
@@ -55,8 +52,4 @@ __all__ = [
     "unpack_edges",
     "CostModel",
     "PhaseCost",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultSpec",
-    "parse_plan",
 ]

@@ -52,11 +52,6 @@ class ParallelConfig:
         One of ``"vectorized"``, ``"serial"``.
     seed:
         Base seed; ``None`` draws fresh entropy.
-    faults:
-        Deterministic fault-injection plan for tests and drills (see
-        :mod:`repro.parallel.faultinject`); empty string (default) means
-        the plan comes from the ``REPRO_FAULTS`` environment variable,
-        if set.  Production runs leave both unset.
     store:
         Backing store for the big per-run arrays (edge endpoints, packed
         table keys, swapped flags): ``"ram"`` (plain arrays, the
@@ -83,7 +78,6 @@ class ParallelConfig:
     threads: int = 16
     backend: str = "vectorized"
     seed: object = None
-    faults: str = ""
     store: str = "auto"
     memory_budget_bytes: int = 0
     verify: str = "off"

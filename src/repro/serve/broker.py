@@ -550,7 +550,6 @@ class Broker:
                     "edges": int(graph.m),
                     "degraded": bool(report.degraded),
                     "resumed": bool(report.resumed),
-                    "faults": len(report.faults),
                 }
             out = swap_edges(job.graph, job.spec.swap_iterations, cfg)
             return out, {"edges": int(out.m)}

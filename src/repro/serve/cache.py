@@ -113,9 +113,6 @@ class ResultCache:
         if entry is None:
             self.misses += 1
             return None
-        from repro.parallel import faultinject
-
-        faultinject.maybe_flip_array("cache", entry.u)
         if not entry.payload_intact():
             del self._entries[fingerprint]
             self._bytes -= entry.nbytes

@@ -7,19 +7,19 @@ The durability tentpole's invariants:
   checkpoint taken on the *other* backend;
 - checkpoint writes are atomic: a snapshot truncated at any byte is
   detected by its checksum and the previous snapshot is used instead;
-- the parent-SIGKILL fault drill (`parentkill` specs fired by the driver
-  itself after a durable write) proves the whole story end to end in a
-  real subprocess;
+- the parent-SIGKILL drill (a driver subprocess that wraps
+  ``CheckpointStore.save`` and kills itself after a chosen durable
+  write) proves the whole story end to end;
 - stale-checkpoint GC never touches a live or resumable store.
 """
 
+import dataclasses
 import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -30,15 +30,17 @@ from repro.core.checkpoint import (
     CheckpointMismatchError,
     CheckpointStore,
     reap_stale_checkpoints,
+    report_stale_checkpoints,
     run_fingerprint,
 )
 from repro.core.generate import generate_graph
-from repro.core.swap import SwapStats, swap_edges
+from repro.core.swap import SwapStats, _stats_from_meta, _stats_to_meta, swap_edges
 from repro.graph.degree import DegreeDistribution, NonGraphicalError
 from repro.graph.edgelist import EdgeList
 from repro.parallel.runtime import ParallelConfig
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+SRC = os.path.join(ROOT, "src")
 
 
 def _graph(seed=0, n=120, m=360) -> EdgeList:
@@ -280,6 +282,44 @@ class TestSwapResume:
         assert seen == [4, 5]
 
 
+#: every SwapStats field a snapshot carries (mixing is a derived view)
+STATS_FIELDS = [f.name for f in dataclasses.fields(SwapStats) if f.name != "mixing"]
+
+
+def _distinct_stats() -> SwapStats:
+    """SwapStats with a distinct, non-default value in every counted field."""
+    stats = SwapStats(
+        iterations=3, proposed=5, accepted=7, rejected_duplicate=11,
+        rejected_self_loop=13, accepted_per_iteration=[17, 19],
+        swapped_fraction_per_iteration=[0.25, 0.5], table_failures=23,
+        table_attempts=np.int64(29), permutation_rounds=31,
+    )
+    for name in STATS_FIELDS:
+        assert getattr(stats, name) != getattr(SwapStats(), name), name
+    return stats
+
+
+class TestSwapStatsSnapshot:
+    """The snapshot codec and the merge keep every field, including the
+    ``compare=False`` table counters that ``==`` never checks."""
+
+    def test_json_roundtrip_keeps_every_field(self):
+        stats = _distinct_stats()
+        back = _stats_from_meta(json.loads(json.dumps(_stats_to_meta(stats))))
+        for name in STATS_FIELDS:
+            assert getattr(back, name) == getattr(stats, name), name
+
+    def test_merge_from_keeps_every_field(self):
+        stats = _distinct_stats()
+        acc = SwapStats()
+        acc.merge_from(stats)
+        acc.merge_from(stats)
+        for name in STATS_FIELDS:
+            once = getattr(stats, name)
+            # counters add, per-iteration lists concatenate
+            assert getattr(acc, name) == once + once, name
+
+
 class TestGenerateResume:
     def test_phase_snapshots_and_done_short_circuit(self, tmp_path, small_dist):
         cfg = ParallelConfig(seed=11, threads=2)
@@ -341,8 +381,11 @@ DRILL_SCRIPT = textwrap.dedent(
     from repro.core.swap import swap_edges
     from repro.graph.edgelist import EdgeList
     from repro.parallel.runtime import ParallelConfig
+    from tests.drills import kill_after_save
 
     backend, ckpt_dir, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
+    if len(sys.argv) > 4:
+        kill_after_save(int(sys.argv[4]))
     rng = np.random.default_rng(0)
     n, m = 120, 360
     g = EdgeList(
@@ -363,76 +406,55 @@ DRILL_SCRIPT = textwrap.dedent(
 class TestParentKillDrill:
     """SIGKILL the driver mid-swap; the resumed run must match bit for bit."""
 
-    def _run_drill(self, tmp_path, backend, faults):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        ckpt = tmp_path / "store"
-        out_path = tmp_path / "out.npz"
+    def _run(self, tmp_path, backend, kill_after=None, **env):
+        """Run the drill driver; with ``kill_after=N`` it SIGKILLs itself
+        after its (N+1)-th durable save."""
         argv = [
-            sys.executable,
-            "-c",
-            DRILL_SCRIPT,
-            backend,
-            str(ckpt),
-            str(out_path),
+            sys.executable, "-c", DRILL_SCRIPT, backend,
+            str(tmp_path / "store"), str(tmp_path / "out.npz"),
         ]
-        # No pipe capture on the kill run: orphaned pool workers inherit
-        # stdout/stderr and would keep the pipes open past the SIGKILL.
-        first = subprocess.run(
-            argv,
-            env=dict(env, REPRO_FAULTS=faults),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            timeout=120,
-        )
-        assert (
-            first.returncode == -signal.SIGKILL
-        ), f"driver survived the parentkill drill: rc={first.returncode}"
-        assert not out_path.exists()
-        snaps = [f for f in os.listdir(ckpt) if f.endswith(".json")]
-        assert snaps, "no durable snapshot before the kill"
-        second = subprocess.run(argv, env=env, capture_output=True, timeout=120)
-        assert second.returncode == 0, second.stderr.decode()
-        self._assert_orphans_exit(str(ckpt))
-        with np.load(out_path) as data:
-            return data["u"].copy(), data["v"].copy()
+        if kill_after is not None:
+            argv.append(str(kill_after))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]), **env)
+        return subprocess.run(argv, env=env, capture_output=True, timeout=120)
 
-    @staticmethod
-    def _assert_orphans_exit(marker, timeout=20.0):
-        """Pool workers orphaned by the SIGKILL must notice the
-        reparenting and exit on their own within the poll interval."""
-        deadline = time.monotonic() + timeout
-        while True:
-            alive = []
-            for pid in os.listdir("/proc"):
-                if not pid.isdigit() or pid == str(os.getpid()):
-                    continue
-                try:
-                    with open(f"/proc/{pid}/cmdline", "rb") as fh:
-                        cmdline = fh.read()
-                except OSError:
-                    continue
-                if marker.encode() in cmdline:
-                    alive.append(pid)
-            if not alive:
-                return
-            if time.monotonic() > deadline:
-                raise AssertionError(f"orphaned drill workers survive: {alive}")
-            time.sleep(0.5)
+    def _run_drill(self, tmp_path, backend, kill_after):
+        first = self._run(tmp_path, backend, kill_after)
+        assert first.returncode == -signal.SIGKILL, (
+            f"driver survived the kill drill: rc={first.returncode}\n"
+            + first.stderr.decode()
+        )
+        assert not (tmp_path / "out.npz").exists()
+        snaps = [f for f in os.listdir(tmp_path / "store") if f.endswith(".json")]
+        assert snaps, "no durable snapshot before the kill"
+        second = self._run(tmp_path, backend)
+        assert second.returncode == 0, second.stderr.decode()
+        with np.load(tmp_path / "out.npz") as data:
+            return data["u"].copy(), data["v"].copy()
 
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
     def test_sigkilled_run_resumes_bitwise_identical(self, tmp_path, backend):
         g = _graph()
         ref = swap_edges(g, 6, ParallelConfig(seed=42, threads=2, backend=backend))
-        u, v = self._run_drill(tmp_path, backend, "parentkill:checkpoint:2")
+        u, v = self._run_drill(tmp_path, backend, 2)
         np.testing.assert_array_equal(u, ref.u)
         np.testing.assert_array_equal(v, ref.v)
 
     def test_kill_after_first_checkpoint(self, tmp_path):
         g = _graph()
         ref = swap_edges(g, 6, ParallelConfig(seed=42, threads=2))
-        u, v = self._run_drill(tmp_path, "vectorized", "parentkill:checkpoint:0")
+        u, v = self._run_drill(tmp_path, "vectorized", 0)
         np.testing.assert_array_equal(u, ref.u)
         np.testing.assert_array_equal(v, ref.v)
+
+    def test_fault_env_var_has_no_effect(self, tmp_path):
+        """The library reads no fault plan from the environment: a durable
+        run with the retired ``REPRO_FAULTS`` set finishes normally."""
+        run = self._run(
+            tmp_path, "vectorized", REPRO_FAULTS="parentkill:checkpoint:0"
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert (tmp_path / "out.npz").exists()
 
 
 class TestReapStaleCheckpoints:
@@ -454,6 +476,19 @@ class TestReapStaleCheckpoints:
         manifest_path.write_text(json.dumps(manifest))
         removed = reap_stale_checkpoints(tmp_path)
         assert removed and not (tmp_path / "run").exists()
+
+    def test_reap_returns_exactly_what_dry_run_lists(self, tmp_path):
+        store = CheckpointStore(tmp_path / "run")
+        store.save("done", arrays={"u": np.arange(3)})
+        manifest_path = tmp_path / "run" / "snap-00000000.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["pid"] = 999999999
+        manifest_path.write_text(json.dumps(manifest))
+        (tmp_path / ".tmp-999999999-aa.npz").write_bytes(b"half")
+        listed = sorted(e["path"] for e in report_stale_checkpoints(tmp_path))
+        assert len(listed) == 3
+        assert sorted(reap_stale_checkpoints(tmp_path)) == listed
+        assert not (tmp_path / "run").exists()
 
     def test_done_store_of_live_pid_kept(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")

@@ -44,6 +44,7 @@ from repro.core.storage import (
     permute_into,
     plan_storage,
     reap_stale_spill,
+    report_stale_spill,
     select_store,
     swap_working_set_bytes,
     total_bytes_mapped,
@@ -51,7 +52,8 @@ from repro.core.storage import (
 from repro.graph.degree import DegreeDistribution
 from repro.parallel.runtime import ParallelConfig
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
+SRC = os.path.join(ROOT, "src")
 
 
 @pytest.fixture(autouse=True)
@@ -207,6 +209,17 @@ class TestReapStaleSpill:
         assert np.array_equal(np.asarray(arr), np.full(16, 7))
         live.release()
 
+    def test_reap_returns_exactly_what_dry_run_lists(self, _isolated_spill_dir):
+        """The reap removes and returns the dry run's paths, manifest
+        included, so a "reaped N" count matches the dry run's."""
+        d = str(_isolated_spill_dir)
+        os.makedirs(d, exist_ok=True)
+        self._fake_dead_store(d, 2**22 + 4242)
+        listed = sorted(e["path"] for e in report_stale_spill())
+        assert len(listed) == 2
+        assert sorted(reap_stale_spill()) == listed
+        assert not any(os.path.exists(p) for p in listed)
+
     def test_orphan_bin_without_manifest_reaped_by_name(self, _isolated_spill_dir):
         d = str(_isolated_spill_dir)
         os.makedirs(d, exist_ok=True)
@@ -347,8 +360,11 @@ DRILL_SCRIPT = textwrap.dedent(
     from repro.graph.degree import DegreeDistribution
     from repro.core.storage import reap_stale_spill
     from repro.parallel.runtime import ParallelConfig
+    from tests.drills import kill_after_save
 
     ckpt_dir, out_path = sys.argv[1], sys.argv[2]
+    if len(sys.argv) > 3:
+        kill_after_save(int(sys.argv[3]))
     reap_stale_spill()  # collect spill files stranded by the killed incarnation
     dist = DegreeDistribution(degrees=[1, 2, 3, 6], counts=[60, 40, 20, 4])
     cfg = ParallelConfig(
@@ -374,17 +390,18 @@ class TestMmapSigkillResume:
             dist, swap_iterations=6,
             config=ParallelConfig(seed=42, threads=2, backend="vectorized"),
         )
-        env = dict(os.environ, PYTHONPATH=SRC,
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]),
                    REPRO_SPILL_DIR=str(_isolated_spill_dir))
         ckpt = tmp_path / "store"
         out_path = tmp_path / "out.npz"
         argv = [sys.executable, "-c", DRILL_SCRIPT, str(ckpt), str(out_path)]
+        # the driver SIGKILLs itself after its 3rd durable save
         first = subprocess.run(
-            argv, env=dict(env, REPRO_FAULTS="parentkill:checkpoint:2"),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=120,
+            argv + ["2"], env=env, capture_output=True, timeout=120,
         )
         assert first.returncode == -signal.SIGKILL, (
-            f"driver survived the parentkill drill: rc={first.returncode}")
+            f"driver survived the kill drill: rc={first.returncode}\n"
+            + first.stderr.decode())
         assert not out_path.exists()
         assert any(f.endswith(".json") for f in os.listdir(ckpt)), (
             "no durable snapshot before the kill")

@@ -27,6 +27,10 @@ class TestParallelConfig:
         with pytest.raises(ValueError, match="backend"):
             ParallelConfig(backend=removed)
 
+    def test_fault_plan_field_removed(self):
+        with pytest.raises(TypeError):
+            ParallelConfig(faults="bitflip:table:0")
+
     def test_invalid_threads(self):
         with pytest.raises(ValueError, match="threads"):
             ParallelConfig(threads=0)

@@ -1,9 +1,9 @@
 """Bit-rot drills: every artifact class, flipped, must be repaired or typed.
 
 The proof obligation of the integrity layer: for each artifact class
-(``table``, ``spill``, ``checkpoint``, ``cache``) a
-``bitflip:<artifact>:<n>`` plan corrupts exactly one bit/byte mid-run,
-and the run must either
+(hash table, spill window, checkpoint payload, cache entry) the drill
+corrupts exactly one bit or byte mid-run, by wrapping the library
+function at that point (see ``tests/drills.py``), and the run must either
 
 - **repair** — detect, quarantine the corrupt state, and recompute from
   a validated state so the final output is *bitwise equal* to the
@@ -13,22 +13,19 @@ and the run must either
   subclass, never a silently wrong graph.
 """
 
+import json
 import logging
 
 import numpy as np
 import pytest
 
+import repro.verify
 from repro import DegreeDistribution, ParallelConfig, generate_graph
+from repro.core.storage import ChunkGuard
 from repro.core.swap import swap_edges
 from repro.graph.edgelist import EdgeList
-from repro.parallel import faultinject
 from repro.verify import ChecksumError, GraphIntegrityError, IntegrityError
-
-
-@pytest.fixture(autouse=True)
-def _disarm():
-    yield
-    faultinject.disarm_bitflip_faults()
+from tests.drills import corrupt_first_call, flip_bit, flip_middle_byte
 
 
 def _ring(n=60):
@@ -39,48 +36,63 @@ def _ring(n=60):
 DIST = DegreeDistribution([1, 2, 3, 6], [60, 40, 20, 8])
 
 
+def _flip_table(monkeypatch):
+    """Flip one slot bit of the table just before the first full-tier
+    registration check reads it."""
+    corrupt_first_call(
+        monkeypatch, repro.verify, "verify_table_registration",
+        lambda table, keys, **_: flip_bit(table._slots),
+    )
+
+
+def _flip_spill(monkeypatch):
+    """Flip one bit of the first sealed spill array the guard re-checks."""
+    corrupt_first_call(
+        monkeypatch, ChunkGuard, "check",
+        lambda guard, name, arr: flip_bit(arr),
+    )
+
+
 class TestTableDrill:
-    def test_vectorized_flip_raises_typed(self):
+    def test_vectorized_flip_raises_typed(self, monkeypatch):
         """Full tier catches a flipped table slot before it can shift verdicts."""
         g = _ring()
-        cfg = ParallelConfig(seed=5, backend="vectorized", verify="full",
-                             faults="bitflip:table:0")
-        faultinject.arm_from(cfg)
+        cfg = ParallelConfig(seed=5, backend="vectorized", verify="full")
+        _flip_table(monkeypatch)
         with pytest.raises(GraphIntegrityError):
             swap_edges(g, 3, cfg)
 
-    def test_flip_repaired_via_checkpoint_replay(self, tmp_path):
+    def test_flip_repaired_via_checkpoint_replay(self, tmp_path, monkeypatch):
         """With a checkpoint store, generate retries from the last snapshot."""
         kw = dict(seed=5, backend="vectorized", threads=2)
         expect, _ = generate_graph(
             DIST, swap_iterations=3, config=ParallelConfig(**kw)
         )
+        _flip_table(monkeypatch)
         out, report = generate_graph(
             DIST, swap_iterations=3,
-            config=ParallelConfig(verify="full", faults="bitflip:table:0", **kw),
+            config=ParallelConfig(verify="full", **kw),
             checkpoint_dir=tmp_path / "ck", checkpoint_every=1,
         )
         np.testing.assert_array_equal(out.u, expect.u)
         np.testing.assert_array_equal(out.v, expect.v)
         assert report.degraded
-        assert any(f.kind == "integrity" for f in report.faults)
 
 
 class TestSpillDrill:
     BUDGET = 1 << 14  # force the mmap store + windowed rounds
 
-    def test_flip_raises_typed_without_checkpoints(self):
+    def test_flip_raises_typed_without_checkpoints(self, monkeypatch):
         g = _ring(200)
         cfg = ParallelConfig(
             seed=5, backend="vectorized", verify="cheap",
             store="mmap", memory_budget_bytes=self.BUDGET,
-            faults="bitflip:spill:0",
         )
-        faultinject.arm_from(cfg)
+        _flip_spill(monkeypatch)
         with pytest.raises(ChecksumError):
             swap_edges(g, 4, cfg)
 
-    def test_flip_repaired_via_checkpoint_replay(self, tmp_path):
+    def test_flip_repaired_via_checkpoint_replay(self, tmp_path, monkeypatch):
         """With a checkpoint store, generate retries from the last snapshot."""
         kw = dict(
             seed=5, backend="vectorized", store="mmap",
@@ -89,17 +101,15 @@ class TestSpillDrill:
         expect, _ = generate_graph(
             DIST, swap_iterations=4, config=ParallelConfig(**kw)
         )
+        _flip_spill(monkeypatch)
         out, report = generate_graph(
             DIST, swap_iterations=4,
-            config=ParallelConfig(
-                verify="cheap", faults="bitflip:spill:0", **kw
-            ),
+            config=ParallelConfig(verify="cheap", **kw),
             checkpoint_dir=tmp_path / "ck", checkpoint_every=1,
         )
         np.testing.assert_array_equal(out.u, expect.u)
         np.testing.assert_array_equal(out.v, expect.v)
         assert report.degraded
-        assert any(f.kind == "integrity" for f in report.faults)
 
 
 class TestCheckpointDrill:
@@ -110,14 +120,15 @@ class TestCheckpointDrill:
             DIST, swap_iterations=4, config=ParallelConfig(**kw)
         )
         ck = tmp_path / "ck"
-        # the flip lands on the 7th durable save — the final snapshot,
-        # the one resume tries first — so the digest check must reject
-        # it and fall back to the intact previous snapshot
         generate_graph(
-            DIST, swap_iterations=4,
-            config=ParallelConfig(faults="bitflip:checkpoint:6", **kw),
+            DIST, swap_iterations=4, config=ParallelConfig(**kw),
             checkpoint_dir=ck, checkpoint_every=1,
         )
+        # flip the final snapshot's payload — the one resume tries first —
+        # after its digest landed, so the digest check must reject it and
+        # fall back to the intact previous snapshot
+        newest = json.loads(max(ck.glob("snap-*.json")).read_text())
+        flip_middle_byte(ck / newest["payload"])
         with caplog.at_level(logging.WARNING, logger="repro.core.checkpoint"):
             out, report = generate_graph(
                 DIST, swap_iterations=4, config=ParallelConfig(**kw),
@@ -136,26 +147,19 @@ class TestCacheDrill:
     def test_corrupt_entry_evicted_not_served(self):
         from repro.serve.cache import CachedResult, ResultCache
 
-        faultinject.arm_bitflip_faults(faultinject.parse_plan("bitflip:cache:0"))
         cache = ResultCache()
         u = np.arange(32, dtype=np.int64)
-        cache.put(CachedResult(fingerprint="f", u=u, v=u + 1, n=64))
+        entry = cache.put(CachedResult(fingerprint="f", u=u, v=u + 1, n=64))
+        flip_bit(entry.u)
         assert cache.get("f") is None  # flipped -> evicted, miss
         assert cache.corrupt_evictions == 1
         assert len(cache) == 0
-        # a recomputed insert round-trips fine (the flip is spent)
+        # a recomputed insert round-trips fine
         cache.put(CachedResult(fingerprint="f", u=u, v=u + 1, n=64))
         assert cache.get("f") is not None
 
 
 class TestEveryArtifactCovered:
-    def test_drill_matrix_is_complete(self):
-        """Every artifact class the grammar accepts has a drill above."""
-        from repro.parallel.faultinject import BITFLIP_ARTIFACTS
-
-        covered = {"table", "spill", "checkpoint", "cache"}
-        assert set(BITFLIP_ARTIFACTS) == covered
-
     def test_integrity_errors_are_one_family(self):
         assert issubclass(GraphIntegrityError, IntegrityError)
         assert issubclass(ChecksumError, IntegrityError)
