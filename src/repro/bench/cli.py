@@ -66,7 +66,6 @@ EXPERIMENTS = {
     "sec8c": experiments.sec8c,
     "scaling": experiments.scaling,
     "suite": experiments.suite,
-    "scale": experiments.scale,
     "lfr": experiments.lfr_experiment,
     "directed": experiments.directed_experiment,
     "corrections": experiments.corrections_experiment,

@@ -55,7 +55,6 @@ __all__ = [
     "sec8c",
     "scaling",
     "suite",
-    "scale",
     "lfr_experiment",
     "directed_experiment",
     "corrections_experiment",
@@ -360,25 +359,6 @@ def suite(
     dists = {name: SPECS[name].synthesize(scale) for name in datasets}
     return suite_benchmark(
         dists, swap_iterations=swap_iterations, threads=threads, seed=seed,
-    )
-
-
-def scale(
-    *,
-    target_edges: int = 20_000,
-    swap_iterations: int = 1,
-    threads: int = 8,
-    backend: str = "vectorized",
-    budget_bytes: int = 1 << 16,
-    seed: int = 5,
-) -> ExperimentResult:
-    """Out-of-core scale: ram vs mmap vs tiny-budget spill (BENCH_scale.json)."""
-    from repro.bench.scale import scale_benchmark
-
-    return scale_benchmark(
-        target_edges=target_edges, swap_iterations=swap_iterations,
-        threads=threads, backend=backend, budget_bytes=budget_bytes,
-        seed=seed,
     )
 
 

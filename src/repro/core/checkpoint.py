@@ -20,13 +20,14 @@ Snapshots are taken only at *reconstructible* boundaries:
   (probabilities → edges → swap) and marks the run ``done`` at the end.
 
 Crash consistency is the tmp-file + ``os.replace`` discipline used by
-write-ahead logs everywhere: the array payload is written to a
+write-ahead logs everywhere: each array is streamed to its own
 pid-stamped temporary, fsynced, renamed; only then is the versioned JSON
-manifest (run fingerprint, phase, swap-round cursor, payload SHA-256)
-written the same way.  A reader accepts a snapshot only if its manifest
-parses, its format version matches, and the payload's checksum verifies
-— a snapshot truncated at *any* byte is detected and the previous
-snapshot is used instead (the store retains the last few).
+manifest (run fingerprint, phase, swap-round cursor, per-array length
+and SHA-256) written the same way.  A reader accepts a snapshot only if
+its manifest parses, its format version matches, and every payload
+file's length and checksum verify — a snapshot truncated at *any* byte
+is detected and the previous snapshot is used instead (the store
+retains the last few).
 
 Stale artifacts are collected with the same pid-stamping pattern as
 :func:`repro.core.storage.reap_stale_spill`: temporaries name their
@@ -38,7 +39,6 @@ writer's pid and are removed once that pid is gone, and stores whose run reached
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import os
@@ -66,17 +66,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 #: On-disk snapshot format version; bumped on incompatible layout changes.
-#: (The raw payload mode below is additive — readers that predate it never
-#: see a raw manifest from their own runs — so it did not bump this.)
 FORMAT_VERSION = 1
 
 #: Phases a snapshot may record, in pipeline order.
 PHASES = ("probabilities", "edges", "swap", "done")
-
-#: Arrays totalling more than this many bytes are snapshotted in the raw
-#: per-array layout (streamed, no whole-payload buffering) even when
-#: they live in RAM; mapped arrays always use it.
-RAW_PAYLOAD_THRESHOLD = 1 << 24
 
 #: Streaming chunk for raw payload writes/verifies (bytes).
 _RAW_CHUNK = 1 << 22
@@ -120,9 +113,10 @@ class Checkpoint:
     """One decoded snapshot: the phase cursor plus its saved state.
 
     ``arrays`` holds the numpy payload (edge endpoint arrays, the
-    swapped-at-least-once mask, probability matrices — whatever the
-    phase recorded); ``meta`` holds the JSON-safe state (RNG stream
-    state, accumulated statistics, per-phase wall seconds).
+    swapped-at-least-once mask — whatever the phase recorded) as
+    read-only maps of the payload files; ``meta`` holds the JSON-safe
+    state (RNG stream state, accumulated statistics, per-phase wall
+    seconds).
     """
 
     phase: str
@@ -173,18 +167,18 @@ def _atomic_write(directory: Path, final: Path, data: bytes) -> None:
 class CheckpointStore:
     """A directory of crash-consistent snapshots for one run.
 
-    Snapshots are numbered ``snap-<seq>.npz`` (array payload) +
-    ``snap-<seq>.json`` (manifest).  Payloads whose arrays are memory
-    mapped, or exceed :data:`RAW_PAYLOAD_THRESHOLD` bytes in total, use
-    the *raw* layout instead: one ``snap-<seq>-<name>.raw`` file per
-    array, streamed in bounded chunks (never buffering the whole payload
-    in RAM) and re-mapped read-only at load time, so checkpointing an
-    out-of-core run costs no resident memory.  :meth:`save` is atomic —
-    a crash at any byte leaves either the previous snapshot set or a
-    complete new one, never a half-readable state — and prunes all but
-    the newest ``keep`` snapshots.  :meth:`load_latest` walks snapshots newest
+    Snapshot ``seq`` is one ``snap-<seq>-<name>.raw`` file per array
+    plus the ``snap-<seq>.json`` manifest.  Arrays are streamed in
+    bounded chunks (never buffering the whole payload in RAM) and
+    re-mapped read-only at load time, so checkpointing an out-of-core
+    run costs no resident memory.  :meth:`save` is atomic — a crash at
+    any byte leaves either the previous snapshot set or a complete new
+    one, never a half-readable state — and prunes all but the newest
+    ``keep`` snapshots.  :meth:`load_latest` walks snapshots newest
     first, skipping any whose manifest or payload fails validation, so a
     torn write transparently falls back to the previous snapshot.
+    Snapshots in the retired npz layout (no ``arrays`` manifest entry)
+    fail that validation too, so a run resuming from one starts over.
 
     Parameters
     ----------
@@ -229,27 +223,28 @@ class CheckpointStore:
     ) -> int:
         """Write one snapshot durably; returns its sequence number.
 
-        The payload ``.npz`` is renamed into place before the manifest,
-        so a manifest on disk always refers to a fully written payload;
-        the manifest carries the payload's SHA-256, so truncation of
-        *either* file is detected at load time.
+        Every payload file is renamed into place before the manifest, so
+        a manifest on disk always refers to fully written payloads; the
+        manifest carries each file's length and SHA-256, so truncation of
+        *any* file is detected at load time.
         """
         if phase not in PHASES:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
         self._dir.mkdir(parents=True, exist_ok=True)
         seq = self._next_seq()
-        # np.ascontiguousarray would strip the np.memmap subclass (hiding
-        # mapped sources from raw-mode detection and the hardlink fast
-        # path), so contiguous memmaps pass through untouched
-        arrs = {
-            k: v if isinstance(v, np.memmap) and v.flags["C_CONTIGUOUS"]
-            else np.ascontiguousarray(v)
-            for k, v in (arrays or {}).items()
-        }
-        total = int(sum(a.nbytes for a in arrs.values()))
-        raw = total > RAW_PAYLOAD_THRESHOLD or any(
-            isinstance(a, np.memmap) for a in arrs.values()
-        )
+        entries = {}
+        total = 0
+        for name, arr in (arrays or {}).items():
+            arr = np.ascontiguousarray(arr)
+            fname = f"snap-{seq:08d}-{name}.raw"
+            entries[name] = {
+                "file": fname,
+                "dtype": arr.dtype.str,
+                "shape": [int(s) for s in arr.shape],
+                "bytes": int(arr.nbytes),
+                "sha256": self._write_raw(self._dir / fname, arr),
+            }
+            total += int(arr.nbytes)
         manifest = {
             "version": FORMAT_VERSION,
             "seq": seq,
@@ -258,32 +253,11 @@ class CheckpointStore:
             "swap_round": int(swap_round),
             "fingerprint": fingerprint,
             "meta": meta or {},
+            # marks the layout for readers that also know the npz one
+            "payload_kind": "raw",
+            "arrays": entries,
+            "payload_bytes": total,
         }
-        if raw:
-            entries = {}
-            for name, arr in arrs.items():
-                fname = f"snap-{seq:08d}-{name}.raw"
-                entries[name] = {
-                    "file": fname,
-                    "dtype": arr.dtype.str,
-                    "shape": [int(s) for s in arr.shape],
-                    "bytes": int(arr.nbytes),
-                    "sha256": self._write_raw(self._dir / fname, arr),
-                }
-            manifest["payload_kind"] = "raw"
-            manifest["arrays"] = entries
-            manifest["payload_bytes"] = total
-            payload_len = total
-        else:
-            buf = io.BytesIO()
-            np.savez(buf, **arrs)
-            payload = buf.getvalue()
-            payload_name = f"snap-{seq:08d}.npz"
-            _atomic_write(self._dir, self._dir / payload_name, payload)
-            manifest["payload"] = payload_name
-            manifest["payload_bytes"] = len(payload)
-            manifest["sha256"] = hashlib.sha256(payload).hexdigest()
-            payload_len = len(payload)
         _atomic_write(
             self._dir,
             self._dir / f"snap-{seq:08d}.json",
@@ -294,45 +268,20 @@ class CheckpointStore:
         if tr is not None:
             tr.event(
                 "checkpoint.write", phase=phase, seq=seq,
-                swap_round=int(swap_round), bytes=payload_len,
-                payload_kind="raw" if raw else "npz",
+                swap_round=int(swap_round), bytes=total,
             )
             tr.metrics.inc("checkpoint.writes")
-            tr.metrics.inc("checkpoint.bytes", payload_len)
+            tr.metrics.inc("checkpoint.bytes", total)
         return seq
 
     def _write_raw(self, final: Path, arr: np.ndarray) -> str:
         """Stream one array to ``final`` atomically; returns its SHA-256.
 
         The array is written in :data:`_RAW_CHUNK` slices so a mapped
-        source is never pulled into RAM wholesale.  A read-only mapped
-        source (a previous raw snapshot being re-saved) is hardlinked
-        instead of copied when the filesystem allows it — snapshot
-        payloads are never modified in place, so sharing the inode is
-        safe — though its checksum is still recomputed from the bytes.
+        source is never pulled into RAM wholesale.
         """
         mv = memoryview(arr).cast("B")
         digest = hashlib.sha256()
-        source = getattr(arr, "filename", None)
-        if (
-            isinstance(arr, np.memmap)
-            and getattr(arr, "mode", None) == "r"
-            and source
-        ):
-            tmp = _tmp_name(self._dir, final.suffix)
-            try:
-                os.link(source, tmp)
-                os.replace(tmp, final)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            else:
-                for lo in range(0, len(mv), _RAW_CHUNK):
-                    digest.update(mv[lo : lo + _RAW_CHUNK])
-                _fsync_dir(str(self._dir))
-                return digest.hexdigest()
         tmp = _tmp_name(self._dir, final.suffix)
         try:
             with open(tmp, "wb") as fh:
@@ -366,8 +315,8 @@ class CheckpointStore:
     def _snapshot_paths(self, seq: int) -> list[Path]:
         """Every on-disk file belonging to snapshot ``seq``.
 
-        Covers the manifest, the npz payload, and any per-array raw
-        payload files (``snap-<seq>-<name>.raw``).
+        Covers the manifest and its per-array payload files
+        (``snap-<seq>-<name>.raw``).
         """
         stem = f"snap-{seq:08d}"
         try:
@@ -408,25 +357,9 @@ class CheckpointStore:
             return None
         if manifest.get("version") != FORMAT_VERSION:
             return None
-        if manifest.get("payload_kind") == "raw":
-            arrays = self._read_raw_arrays(manifest)
-            if arrays is None:
-                return None
-        else:
-            payload_path = self._dir / str(manifest.get("payload", ""))
-            try:
-                data = payload_path.read_bytes()
-            except OSError:
-                return None
-            if len(data) != manifest.get("payload_bytes"):
-                return None
-            if hashlib.sha256(data).hexdigest() != manifest.get("sha256"):
-                return None
-            try:
-                with np.load(io.BytesIO(data)) as npz:
-                    arrays = {k: np.array(npz[k]) for k in npz.files}
-            except (OSError, ValueError):
-                return None
+        arrays = self._read_raw_arrays(manifest)
+        if arrays is None:
+            return None
         return Checkpoint(
             phase=str(manifest.get("phase", "")),
             swap_round=int(manifest.get("swap_round", 0)),
@@ -437,7 +370,7 @@ class CheckpointStore:
         )
 
     def _read_raw_arrays(self, manifest: dict) -> dict | None:
-        """Validate and map a raw snapshot's arrays; ``None`` if torn.
+        """Validate and map a snapshot's arrays; ``None`` if torn.
 
         Each file's size and streamed SHA-256 must match its manifest
         entry before the array is exposed.  Arrays come back as
@@ -493,18 +426,16 @@ class CheckpointStore:
             return "<manifest unreadable>"
         if not isinstance(manifest, dict):
             return "<manifest malformed>"
-        if manifest.get("payload_kind") == "raw":
-            entries = manifest.get("arrays")
-            if isinstance(entries, dict):
-                digests = [
-                    str(e.get("sha256", "?"))
-                    for e in entries.values()
-                    if isinstance(e, dict)
-                ]
-                if digests:
-                    return ",".join(digests)
-        digest = manifest.get("sha256")
-        return str(digest) if digest else "<no digest recorded>"
+        entries = manifest.get("arrays")
+        if isinstance(entries, dict):
+            digests = [
+                str(e.get("sha256", "?"))
+                for e in entries.values()
+                if isinstance(e, dict)
+            ]
+            if digests:
+                return ",".join(digests)
+        return "<no digest recorded>"
 
     def load_latest(self, fingerprint: str | None = None) -> Checkpoint | None:
         """Newest snapshot that passes validation, or ``None``.

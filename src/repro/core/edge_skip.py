@@ -293,7 +293,6 @@ def generate_edges(
     *,
     cost: CostModel | None = None,
     max_space_size: int | None = None,
-    store=None,
 ) -> EdgeList:
     """Algorithm IV.2: realize class-pair probabilities by edge skipping.
 
@@ -311,15 +310,6 @@ def generate_edges(
         Split sample spaces larger than this into independent segments
         (the paper's within-space parallelization; provably equivalent).
         Defaults to no splitting.
-    store:
-        Optional :class:`repro.core.storage.BackingStore` receiving the
-        edge endpoint arrays.  With an mmap store, the serial path
-        *streams* each sample space straight to the spill files instead
-        of materializing per-space lists — the full edge arrays are
-        never resident.  The vectorized path still materializes its
-        sample once (one whole-array kernel) and then copies it into the
-        store windowed.  Edge values are identical with or without a
-        store.
 
     Returns
     -------
@@ -333,8 +323,6 @@ def generate_edges(
     offsets = dist.class_offsets(config)
     counts = dist.counts
     n_spaces = len(table["p"])
-    app_u = store.appender("gen_u", np.int64) if store is not None else None
-    app_v = store.appender("gen_v", np.int64) if store is not None else None
 
     if config.backend == "serial":
         # straight per-space reference loop
@@ -346,31 +334,15 @@ def generate_edges(
             pos = skip_positions(float(table["p"][s]), int(table["end"][s]), rng)
             ids = np.full(len(pos), s, dtype=np.int64)
             uu, vv = _positions_to_edges(ids, pos, table, offsets, counts)
-            if app_u is not None:
-                app_u.append(uu)
-                app_v.append(vv)
-            else:
-                us.append(uu)
-                vs.append(vv)
+            us.append(uu)
+            vs.append(vv)
             total_skips += len(pos) + 1
-        if app_u is not None:
-            u = app_u.finish()
-            v = app_v.finish()
-        else:
-            u = np.concatenate(us) if us else np.empty(0, np.int64)
-            v = np.concatenate(vs) if vs else np.empty(0, np.int64)
+        u = np.concatenate(us) if us else np.empty(0, np.int64)
+        v = np.concatenate(vs) if vs else np.empty(0, np.int64)
     else:
         rng = config.generator()
         ids, pos, total_skips = _sample_spaces(table, rng)
         u, v = _positions_to_edges(ids, pos, table, offsets, counts)
-        if app_u is not None:
-            # the vectorized sampler is a whole-array kernel, so the edge
-            # arrays exist once in RAM here; the store copy still moves
-            # the *persistent* arrays out of core for the swap phase
-            app_u.append(u)
-            app_v.append(v)
-            u = app_u.finish()
-            v = app_v.finish()
 
     if cost is not None:
         # the span estimate (class scan + per-draw binary search) can

@@ -26,11 +26,6 @@ import numpy as np
 from repro.core.checkpoint import as_store, run_fingerprint
 from repro.core.edge_skip import generate_edges
 from repro.core.probabilities import ProbabilityResult, generate_probabilities
-from repro.core.storage import (
-    generation_working_set_bytes,
-    open_store,
-    plan_storage,
-)
 from repro.core.swap import (
     SwapStats,
     _maybe_span,
@@ -321,34 +316,16 @@ def _generate(
     if store is not None and resume_snap is None:
         # phase snapshots are written only on a fresh run: a resumed run
         # must never let an earlier-phase snapshot outrank (and prune)
-        # the later-phase one it is resuming from
+        # the later-phase one it is resuming from.  This one records the
+        # phase marker and timings only: every run recomputes P
         store.save(
             "probabilities",
-            arrays={"P": probabilities.P},
             meta={"phase_seconds": dict(phase_seconds)},
             fingerprint=fingerprint,
         )
 
     degraded = False
     resuming = resume_snap is not None and resume_snap.phase in ("edges", "swap")
-    # expected edge count (half the total degree) sizes the generation
-    # phase's storage plan before any edge exists
-    expected_m = int(np.dot(dist.degrees, dist.counts)) // 2
-    gen_plan = plan_storage(
-        config,
-        working_set_bytes=generation_working_set_bytes(expected_m),
-        phase="generation",
-    )
-    gen_store = None
-    if gen_plan.store == "mmap" and not resuming:
-        gen_store = open_store("mmap")
-        tr = obs_trace.current()
-        if tr is not None:
-            tr.event(
-                "tune.replan", phase="storage", store="mmap",
-                window=gen_plan.window, edges=expected_m,
-                reason=gen_plan.reason,
-            )
     t0 = time.perf_counter()
     with _maybe_span("phase:edge_generation", resumed=resuming):
         if resuming:
@@ -358,9 +335,7 @@ def _generate(
                 dist.n,
             )
         else:
-            edges = generate_edges(
-                probabilities.P, dist, config, cost=cost, store=gen_store
-            )
+            edges = generate_edges(probabilities.P, dist, config, cost=cost)
     phase_seconds["edge_generation"] = time.perf_counter() - t0
     if cost.phases and cost.phases[-1].name == "edge_generation":
         cost.phases[-1].seconds = phase_seconds["edge_generation"]
@@ -431,11 +406,6 @@ def _generate(
             )
     phase_seconds["swap"] = time.perf_counter() - t0
     _sample_memory()
-    if gen_store is not None:
-        # the swap phase owns its own store-backed copies (and the
-        # "edges" snapshot is durable), so the generation spill files can
-        # be settled now; `edges`'s mappings stay valid until GC
-        gen_store.release()
     if store is not None:
         store.save(
             "done",

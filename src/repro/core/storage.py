@@ -1,25 +1,19 @@
-"""Backing stores for the big per-run arrays (out-of-core scale engine).
+"""Spill files for the swap phase's big per-run arrays (out-of-core engine).
 
-The three arrays that grow with the graph — edge endpoints, packed table
-keys, and swapped-at-least-once flags — historically lived in process
-RAM, which silently caps the reproduction at graphs that fit in memory.
-This module puts a *backing store* underneath them:
+The swap phase (Algorithm III.1) is the one step that keeps m-sized
+arrays alive across passes: edge endpoints, packed table keys and the
+swapped-at-least-once flags.  In RAM they silently cap the reproduction
+at graphs that fit in memory.  When
+:attr:`~repro.parallel.runtime.ParallelConfig.memory_budget_bytes` is
+positive and below :func:`swap_working_set_bytes`, ``swap_edges`` puts
+them in an :class:`MmapStore` instead: arrays mapped over *spill files*
+with ``np.memmap``, so the OS pages windows of the working set in and
+out and the resident footprint is bounded by the touched window, not
+the graph size.  :func:`spill_window` is that decision.
 
-- :class:`RamStore` — plain ``np.empty`` arrays (the historical layout);
-- :class:`MmapStore` — arrays mapped over *spill files* with
-  ``np.memmap``, so the OS pages windows of the working set in and out
-  and the resident footprint is bounded by the touched window, not the
-  graph size.
-
-The store is selected per run from
-:attr:`~repro.parallel.runtime.ParallelConfig.store` (``"ram"`` /
-``"mmap"`` explicit, or ``"auto"``: spill exactly when the estimated
-working set exceeds
-:attr:`~repro.parallel.runtime.ParallelConfig.memory_budget_bytes`).
-Stores only change *where* array bytes live, never what they hold: an
-mmap-backed run is bitwise-identical to its in-RAM twin for the same
-seed and config (enforced by the cross-store differential tests and the
-out-of-core CI smoke job).
+Spilling only changes *where* array bytes live, never what they hold: a
+spilled run is bitwise-identical to its in-RAM twin for the same seed
+and config (enforced by the cross-store differential tests).
 
 Spill-file lifecycle is pid-stamped: every file is named
 ``repro-spill-<owner-pid>-<seq>-<hex>.bin`` inside the spill directory
@@ -43,21 +37,13 @@ import tempfile
 import time
 import weakref
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "STORE_KINDS",
-    "BackingStore",
-    "RamStore",
     "MmapStore",
-    "ArrayAppender",
     "ChunkGuard",
-    "StoragePlan",
-    "open_store",
-    "select_store",
-    "plan_storage",
+    "spill_window",
     "spill_dir",
     "reap_stale_spill",
     "report_stale_spill",
@@ -65,20 +51,16 @@ __all__ = [
     "copy_into",
     "permute_into",
     "swap_working_set_bytes",
-    "generation_working_set_bytes",
     "total_bytes_mapped",
     "DEFAULT_WINDOW",
 ]
-
-#: store kinds a :class:`~repro.parallel.runtime.ParallelConfig` may name
-STORE_KINDS = ("auto", "ram", "mmap")
 
 #: filename prefix of every spill artifact (files and manifests); the
 #: reaper only ever touches names carrying it
 SPILL_PREFIX = "repro-spill-"
 
-#: default window (elements) for windowed copies/permutations when no
-#: memory budget constrains it
+#: largest window (elements) of a spilled swap phase, and the default of
+#: the windowed kernels
 DEFAULT_WINDOW = 1 << 20
 
 #: minimum windowed-permutation window (elements); smaller windows pay
@@ -167,18 +149,12 @@ def create_spill_file(nbytes: int, *, directory: str | None = None) -> str:
     raise OSError(f"cannot create a unique spill file under {d}")
 
 
-# -- byte-budget estimates -------------------------------------------------
+# -- byte-budget estimate --------------------------------------------------
 #
-# Closed-form working-set estimates the storage planner consumes (see
-# :func:`plan_storage`).  They count the
-# *persistent* per-run arrays a store backs; transient proposal
-# temporaries (O(m/2) per swap iteration, required whole-batch for
-# bitwise-identical TestAndSet ordering) stay in RAM and are excluded.
-
-
-def generation_working_set_bytes(m: int) -> int:
-    """Bytes the edge-generation phase keeps resident for ``m`` edges."""
-    return int(m) * 2 * 8  # u + v, int64
+# The estimate counts the *persistent* swap-phase arrays a store backs;
+# transient proposal temporaries (O(m/2) per swap iteration, required
+# whole-batch for bitwise-identical TestAndSet ordering) stay in RAM and
+# are excluded.
 
 
 def swap_working_set_bytes(m: int) -> int:
@@ -191,141 +167,38 @@ def swap_working_set_bytes(m: int) -> int:
     return int(m) * per_edge * 2  # ping-pong twins
 
 
-def select_store(kind: str, working_set_bytes: int, budget_bytes: int) -> str:
-    """Resolve a configured store kind to ``"ram"`` or ``"mmap"``.
+def spill_window(memory_budget_bytes: int, m: int) -> int:
+    """Window (elements) of a spilled swap phase over ``m`` edges, or 0.
 
-    ``"auto"`` spills exactly when a positive ``budget_bytes`` cannot
-    hold the estimated working set; a zero budget means unlimited RAM.
+    0 means the arrays stay in RAM: the budget is zero (unlimited) or
+    holds :func:`swap_working_set_bytes`.  Otherwise the window is sized
+    so one permutation step — about four int64 windows (source,
+    destination, the order slice and the gathered source pages) — takes
+    about 1/8 of the budget, clamped to ``[2**14, DEFAULT_WINDOW]``.
     """
-    if kind not in STORE_KINDS:
-        raise ValueError(f"store must be one of {STORE_KINDS}, got {kind!r}")
-    if kind != "auto":
-        return kind
-    if budget_bytes > 0 and int(working_set_bytes) > int(budget_bytes):
-        return "mmap"
-    return "ram"
-
-
-@dataclass(frozen=True)
-class StoragePlan:
-    """A memory-budget-aware storage decision for one phase.
-
-    Attributes
-    ----------
-    store:
-        Resolved backing store for the phase's persistent arrays:
-        ``"ram"`` or ``"mmap"`` (never ``"auto"``).
-    window:
-        Elements per windowed copy/permutation step.  Sized so one
-        window of every simultaneously-touched array fits comfortably in
-        the budget; ``0`` when the store is ``"ram"`` (fancy indexing
-        stays whole-array).
-    reason:
-        Human-readable decision record, mirrored into the ``tune.replan``
-        trace event (``compare=False`` so plans compare on substance).
-    """
-
-    store: str
-    window: int
-    reason: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        if self.store not in ("ram", "mmap"):
-            raise ValueError(f"store must be 'ram' or 'mmap', got {self.store!r}")
-        if self.window < 0:
-            raise ValueError(f"window must be >= 0, got {self.window}")
-
-
-def plan_storage(config, *, working_set_bytes: int, phase: str = "run") -> StoragePlan:
-    """Choose the store and window size for one phase.
-
-    Deterministic in its inputs: ``config.store`` and
-    ``config.memory_budget_bytes`` plus the phase's estimated persistent
-    working set.  The plan only moves bytes — outputs are
-    bitwise-identical whichever plan comes back.
-    """
-    budget = int(config.memory_budget_bytes)
-    working_set_bytes = int(working_set_bytes)
-    store = select_store(config.store, working_set_bytes, budget)
-    if store == "ram":
-        window = 0
-    elif budget > 0:
-        # a permutation step touches ~4 arrays (src window, dst window,
-        # the order slice, and the gathered source pages), int64 rows;
-        # aim each step at ~1/8 of the budget
-        window = max(_MIN_WINDOW, min(DEFAULT_WINDOW, budget // (8 * 4 * 8)))
-    else:
-        window = DEFAULT_WINDOW
-    return StoragePlan(
-        store=store,
-        window=int(window),
-        reason=(
-            f"{phase}: working_set={working_set_bytes} budget={budget} "
-            f"store={config.store!r} -> {store} window={window}"
-        ),
-    )
+    budget = int(memory_budget_bytes)
+    if budget <= 0 or swap_working_set_bytes(m) <= budget:
+        return 0
+    return max(_MIN_WINDOW, min(DEFAULT_WINDOW, budget // (8 * 4 * 8)))
 
 
 # -- stores ----------------------------------------------------------------
 
 
-class BackingStore:
-    """Interface shared by :class:`RamStore` and :class:`MmapStore`.
-
-    ``kind`` is ``"ram"`` or ``"mmap"``; call sites branch on it only for
-    the windowed-vs-fancy-index choice — array contents are identical.
-    """
-
-    kind = "ram"
-
-    def empty(self, name: str, shape, dtype) -> np.ndarray:
-        """Allocate an uninitialized array named ``name`` in this store."""
-        raise NotImplementedError
-
-    def appender(self, name: str, dtype) -> "ArrayAppender":
-        """A streaming 1-D builder whose result lands in this store."""
-        return ArrayAppender(self, name, dtype)
-
-    @property
-    def bytes_mapped(self) -> int:
-        return 0
-
-    def release(self) -> None:
-        """Settle disk debt early (no-op for RAM)."""
-
-    def close(self) -> None:
-        """Release and drop every tracked array."""
-
-
-class RamStore(BackingStore):
-    """The historical layout: plain process-RAM arrays."""
-
-    kind = "ram"
-
-    def empty(self, name: str, shape, dtype) -> np.ndarray:
-        """Plain ``np.empty`` — the name is accepted for interface parity."""
-        return np.empty(shape, dtype=dtype)
-
-
-class MmapStore(BackingStore):
+class MmapStore:
     """Arrays mapped over pid-stamped spill files.
 
     Every :meth:`empty` creates one spill file and maps it ``r+``; the
     store's manifest (``repro-spill-<pid>-<seq>.json``) lists the live
     files so :func:`reap_stale_spill` can collect them after a crash.
-    :meth:`release` unlinks the files while keeping the maps usable —
-    call it once no code needs the *paths* anymore (checkpoint-by-copy
-    reads them); the arrays themselves stay valid until garbage
-    collected.
+    :meth:`release` unlinks the files while keeping the maps usable; the
+    arrays themselves stay valid until garbage collected.
     """
-
-    kind = "mmap"
 
     def __init__(self, *, directory: str | None = None) -> None:
         self._dir = directory or spill_dir()
         self._maps: dict[str, np.memmap] = {}
         self._paths: dict[str, str] = {}
-        self._digests: dict[str, list[int]] = {}
         self._manifest_path: str | None = None
         self._released = False
         _LIVE_STORES.add(self)
@@ -351,17 +224,6 @@ class MmapStore(BackingStore):
         self._refresh_manifest()
         return arr
 
-    def adopt_file(self, name: str, path: str, shape, dtype) -> np.ndarray:
-        """Map an already-written spill file (an appender's output)."""
-        if name in self._maps:
-            raise ValueError(f"store already holds an array named {name!r}")
-        shape = tuple(int(s) for s in (shape if np.iterable(shape) else (shape,)))
-        arr = np.memmap(path, dtype=np.dtype(dtype), mode="r+", shape=shape)
-        self._maps[name] = arr
-        self._paths[name] = path
-        self._refresh_manifest()
-        return arr
-
     def path_of(self, name: str) -> str | None:
         """Spill-file path backing ``name`` (``None`` after release)."""
         return None if self._released else self._paths.get(name)
@@ -369,11 +231,6 @@ class MmapStore(BackingStore):
     @property
     def bytes_mapped(self) -> int:
         return int(sum(a.nbytes for a in self._maps.values()))
-
-    def flush(self) -> None:
-        """Flush every mapping's dirty pages to its file."""
-        for arr in self._maps.values():
-            arr.flush()
 
     def _refresh_manifest(self) -> None:
         """Pidfile-stamped manifest of live spill files (best-effort)."""
@@ -384,8 +241,6 @@ class MmapStore(BackingStore):
                     f"{SPILL_PREFIX}{os.getpid()}-{next(_MANIFEST_SEQ)}.json",
                 )
             payload = {"pid": os.getpid(), "files": list(self._paths.values())}
-            if self._digests:
-                payload["digests"] = self._digests
             with open(self._manifest_path, "w") as fh:
                 json.dump(payload, fh)
         except OSError:  # pragma: no cover - manifest is best-effort
@@ -397,19 +252,6 @@ class MmapStore(BackingStore):
             os.getpid(),
         )
 
-    def set_digests(self, name: str, crcs: list[int]) -> None:
-        """Record ``name``'s per-window CRCs in the manifest (best-effort).
-
-        Written by :class:`ChunkGuard` at seal time so a post-mortem (or
-        the reaper's dry-run report) can tell an intact orphaned spill
-        file from a torn one.  Verification on the hot path reads the
-        guard's in-memory ledger, never the manifest.
-        """
-        if self._released:
-            return
-        self._digests[name] = [int(c) for c in crcs]
-        self._refresh_manifest()
-
     def release(self) -> None:
         """Unlink every spill file and the manifest; maps stay usable."""
         if self._released:
@@ -419,11 +261,6 @@ class MmapStore(BackingStore):
         _unlink_files(self._paths, self._manifest_path, os.getpid())
         self._paths = {}
         self._manifest_path = None
-
-    def close(self) -> None:
-        """Release the files and drop every tracked mapping."""
-        self.release()
-        self._maps.clear()
 
 
 def _unlink_files(paths: dict, manifest: str | None, owner_pid: int) -> None:
@@ -442,80 +279,6 @@ def _unlink_files(paths: dict, manifest: str | None, owner_pid: int) -> None:
             pass
 
 
-def open_store(kind: str, *, directory: str | None = None) -> BackingStore:
-    """Instantiate a resolved store kind (``"ram"`` or ``"mmap"``)."""
-    if kind == "ram":
-        return RamStore()
-    if kind == "mmap":
-        return MmapStore(directory=directory)
-    raise ValueError(f"cannot open store kind {kind!r} (resolve 'auto' first)")
-
-
-class ArrayAppender:
-    """Streaming 1-D array builder over a backing store.
-
-    Chunked edge generation appends each chunk as it is produced; RAM
-    stores buffer the chunks (the historical concatenate), mmap stores
-    stream the bytes straight to a spill file and :meth:`finish` maps the
-    result — the per-chunk lists never coexist with the full array.
-    Values are identical either way.
-    """
-
-    def __init__(self, store: BackingStore, name: str, dtype) -> None:
-        self._store = store
-        self._name = name
-        self._dtype = np.dtype(dtype)
-        self._count = 0
-        self._done = False
-        if store.kind == "mmap":
-            self._path = create_spill_file(1, directory=store._dir)
-            self._file = open(self._path, "r+b")
-            self._chunks = None
-        else:
-            self._path = None
-            self._file = None
-            self._chunks: list[np.ndarray] = []
-
-    def append(self, values: np.ndarray) -> None:
-        """Append one chunk (any array coercible to the target dtype)."""
-        if self._done:
-            raise RuntimeError("appender already finished")
-        arr = np.ascontiguousarray(values, dtype=self._dtype).reshape(-1)
-        if not len(arr):
-            return
-        if self._file is not None:
-            self._file.write(arr.tobytes())
-        else:
-            self._chunks.append(arr)
-        self._count += len(arr)
-
-    def finish(self) -> np.ndarray:
-        """Seal the appender and return the assembled array."""
-        if self._done:
-            raise RuntimeError("appender already finished")
-        self._done = True
-        if self._file is not None:
-            self._file.truncate(max(self._count * self._dtype.itemsize, 1))
-            self._file.flush()
-            self._file.close()
-            if self._count == 0:
-                # nothing was written: surrender the placeholder file and
-                # hand back an ordinary empty array
-                try:
-                    os.unlink(self._path)
-                except OSError:  # pragma: no cover
-                    pass
-                return np.empty(0, dtype=self._dtype)
-            return self._store.adopt_file(
-                self._name, self._path, (self._count,), self._dtype
-            )
-        if not self._chunks:
-            return np.empty(0, dtype=self._dtype)
-        out = np.concatenate(self._chunks)
-        self._chunks = []
-        return out
-
-
 class ChunkGuard:
     """Per-window CRC ledger for store-backed arrays.
 
@@ -525,15 +288,12 @@ class ChunkGuard:
     per ``window`` elements, computed windowed so nothing out-of-core is
     ever fully resident) and checks it before the next phase trusts it,
     raising :class:`repro.verify.ChecksumError` on the first divergent
-    window.  Sealed digests are mirrored into the owning
-    :class:`MmapStore`'s manifest for post-mortems; the hot-path check
-    reads only the in-memory ledger.
+    window.  The ledger lives in memory only.
     """
 
-    def __init__(self, window: int = DEFAULT_WINDOW, store: BackingStore | None = None) -> None:
+    def __init__(self, window: int = DEFAULT_WINDOW) -> None:
         self.window = max(int(window), 1)
         self._crcs: dict[str, list[int]] = {}
-        self._store = store if isinstance(store, MmapStore) else None
 
     def _window_crcs(self, arr: np.ndarray) -> list[int]:
         flat = arr.reshape(-1)
@@ -544,10 +304,7 @@ class ChunkGuard:
 
     def seal(self, name: str, arr: np.ndarray) -> None:
         """Record ``arr``'s current per-window CRCs under ``name``."""
-        crcs = self._window_crcs(arr)
-        self._crcs[name] = crcs
-        if self._store is not None:
-            self._store.set_digests(name, crcs)
+        self._crcs[name] = self._window_crcs(arr)
 
     def check(self, name: str, arr: np.ndarray) -> None:
         """Verify ``arr`` against its seal; no-op for unsealed names."""
@@ -626,8 +383,8 @@ def report_stale_spill(*, directory: str | None = None) -> list[dict]:
     1. **manifests** — every ``repro-spill-<pid>-<seq>.json`` whose
        stamped pid is dead, plus the files it lists;
     2. **name scan** — every ``repro-spill-<pid>-…`` file with a dead
-       owner pid (covers files created outside a store, e.g. a streaming
-       appender's output).
+       owner pid (covers files a crash left unlisted, e.g. one created
+       just before its manifest was rewritten).
 
     Returns one dict per artifact — ``{"path", "pid", "bytes",
     "age_seconds", "kind"}``; :func:`reap_stale_spill` removes exactly

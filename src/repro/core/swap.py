@@ -64,11 +64,11 @@ from repro.core.checkpoint import (
     run_fingerprint,
 )
 from repro.core.storage import (
-    DEFAULT_WINDOW,
+    ChunkGuard,
+    MmapStore,
     copy_into,
-    open_store,
     permute_into,
-    plan_storage,
+    spill_window,
     swap_working_set_bytes,
 )
 from repro.graph.edgelist import EdgeList
@@ -92,24 +92,27 @@ _STORE_SEQ = itertools.count()
 
 
 def _open_swap_store(config, m):
-    """Plan and (if spilling) open the swap phase's backing store.
+    """Open the swap phase's spill store when the budget says so.
 
-    Returns ``(store, window)`` where ``store`` is ``None`` for a RAM
-    plan.  A spill decision is recorded as a ``tune.replan`` trace event
-    with ``phase="storage"`` so traced runs document it.
+    Returns ``(store, window)``; ``store`` is ``None`` (and ``window``
+    0) when the arrays stay in RAM.  A spill is recorded as a
+    ``tune.replan`` trace event with ``phase="storage"`` so traced runs
+    document it.
     """
-    plan = plan_storage(
-        config, working_set_bytes=swap_working_set_bytes(m), phase="swap"
-    )
-    if plan.store != "mmap":
+    budget = int(config.memory_budget_bytes)
+    window = spill_window(budget, m)
+    if not window:
         return None, 0
     tr = obs_trace.current()
     if tr is not None:
         tr.event(
-            "tune.replan", phase="storage", store=plan.store,
-            window=plan.window, edges=m, reason=plan.reason,
+            "tune.replan", phase="storage", store="mmap", window=window,
+            edges=m, reason=(
+                f"swap: working_set={swap_working_set_bytes(m)} "
+                f"budget={budget} -> mmap window={window}"
+            ),
         )
-    return open_store("mmap"), plan.window
+    return MmapStore(), window
 
 
 def _store_working_arrays(store, window, u_src, v_src, swapped_src, m):
@@ -615,7 +618,7 @@ def _swap_loop(
     keys the proposal phase already packed), so each iteration's
     registration reuses the array instead of re-packing all ``m`` edges.
 
-    With an mmap ``store``, the permutation runs *windowed*: instead of
+    With a spill ``store``, the permutation runs *windowed*: instead of
     one whole-array fancy-index copy per array, each array is gathered
     window by window into a store-backed twin and the references are
     swapped (ping-pong), so at most one destination window's pages are
@@ -627,8 +630,7 @@ def _swap_loop(
     surviving h keys) is what pins the verdict stream — so its O(m/2)
     temporaries are a transient RAM cost per iteration, by design.
     """
-    windowed = store is not None and getattr(store, "kind", "ram") == "mmap"
-    win = int(window) if window else DEFAULT_WINDOW
+    windowed = store is not None
     pong: dict[str, np.ndarray] = {}  # spare twin per array name
 
     # Integrity tier (repro.verify): the output must keep
@@ -647,9 +649,7 @@ def _swap_loop(
     guard = None
     guard_sealed = False
     if windowed and tier != "off":
-        from repro.core.storage import ChunkGuard
-
-        guard = ChunkGuard(window=win, store=store)
+        guard = ChunkGuard(window=window)
 
     def _permuted(name: str, arr: np.ndarray, order: np.ndarray) -> np.ndarray:
         if not windowed:
@@ -657,7 +657,7 @@ def _swap_loop(
         spare = pong.get(name)
         if spare is None:
             spare = store.empty(f"pp{next(_STORE_SEQ)}_{name}", m, arr.dtype)
-        permute_into(spare, arr, order, win)
+        permute_into(spare, arr, order, window)
         pong[name] = arr  # the source becomes next round's gather target
         return spare
 
@@ -681,8 +681,8 @@ def _swap_loop(
                     # at a time (pack_edges is elementwise, so the values
                     # match a whole-array pack exactly)
                     keys = store.empty(f"pp{next(_STORE_SEQ)}_keys", m, np.int64)
-                    for lo in range(0, m, win):
-                        hi = min(lo + win, m)
+                    for lo in range(0, m, window):
+                        hi = min(lo + window, m)
                         keys[lo:hi] = pack_edges(u[lo:hi], v[lo:hi])
                 else:
                     keys = pack_edges(u, v)

@@ -81,20 +81,30 @@ def _is_int(token: str) -> bool:
     return True
 
 
-def _parse_header_n(path) -> int | None:
-    """The ``n=<count>`` header value of a text edge list, if present."""
-    with open(path, encoding="utf-8-sig", errors="replace") as fh:
-        first = fh.readline()
-    if not first.startswith("#") or "n=" not in first:
+def _header_n(line: str, path) -> int | None:
+    """The ``n=<count>`` token of a ``#`` header line, if present.
+
+    Only a whole whitespace-separated ``n=`` token counts, so neighbours
+    such as ``run=7`` or ``gen=cl`` are never read as the vertex count.
+    """
+    if not line.startswith("#"):
         return None
-    rest = first.split("n=")[1].split()
-    token = rest[0] if rest else ""
-    try:
-        return int(token)
-    except ValueError:
-        raise EdgeListFormatError(
-            f"malformed header vertex count n={token!r}", path=path, line=1
-        ) from None
+    for token in line[1:].split():
+        if token.startswith("n="):
+            value = token[2:]
+            try:
+                return int(value)
+            except ValueError:
+                raise EdgeListFormatError(
+                    f"malformed header vertex count n={value!r}", path=path, line=1
+                ) from None
+    return None
+
+
+def _parse_header_n(path) -> int | None:
+    """The ``n=<count>`` header value of a text edge list file, if present."""
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
+        return _header_n(fh.readline(), path)
 
 
 def save_edge_list(graph: EdgeList, path) -> None:
@@ -140,16 +150,7 @@ def parse_edge_list_text(text: str, *, path="<edge list>") -> EdgeList:
     ``utf-8-sig`` behaviour; line numbers are unaffected.
     """
     lines = text.lstrip("\ufeff").splitlines()
-    n = None
-    if lines and lines[0].startswith("#") and "n=" in lines[0]:
-        rest = lines[0].split("n=")[1].split()
-        token = rest[0] if rest else ""
-        try:
-            n = int(token)
-        except ValueError:
-            raise EdgeListFormatError(
-                f"malformed header vertex count n={token!r}", path=path, line=1
-            ) from None
+    n = _header_n(lines[0], path) if lines else None
     pairs = _parse_int_table_lines(lines, 2, "endpoint", path)
     if pairs.size == 0:
         return EdgeList(np.empty(0, np.int64), np.empty(0, np.int64), n or 0)

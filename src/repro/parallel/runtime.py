@@ -52,19 +52,14 @@ class ParallelConfig:
         One of ``"vectorized"``, ``"serial"``.
     seed:
         Base seed; ``None`` draws fresh entropy.
-    store:
-        Backing store for the big per-run arrays (edge endpoints, packed
-        table keys, swapped flags): ``"ram"`` (plain arrays, the
-        historical layout), ``"mmap"`` (spill-file-backed arrays; graphs
-        larger than RAM page through a bounded window), or ``"auto"``
-        (default; spill exactly when the estimated working set exceeds
-        ``memory_budget_bytes``).  The store only moves bytes — outputs
-        are bitwise-identical across stores for the same seed/config.
     memory_budget_bytes:
-        Approximate RAM budget for a run's persistent arrays.  ``0``
-        (default) means unlimited (``"auto"`` never spills).  A positive
-        budget drives the ``"auto"`` store choice and the windowed-swap
-        window size (see :func:`repro.core.storage.plan_storage`).
+        Approximate RAM budget for the swap phase's persistent arrays
+        (edge endpoints, packed table keys, swapped flags).  ``0``
+        (default) means unlimited.  A positive budget below
+        :func:`repro.core.storage.swap_working_set_bytes` moves them to
+        spill files, permuted one bounded window at a time (see
+        :func:`repro.core.storage.spill_window`).  Spilling only moves
+        bytes — outputs are bitwise-identical for the same seed/config.
     verify:
         Integrity-verification tier (see :mod:`repro.verify`): ``"off"``
         (default; no added checks), ``"cheap"`` (O(m) invariant checks at
@@ -78,7 +73,6 @@ class ParallelConfig:
     threads: int = 16
     backend: str = "vectorized"
     seed: object = None
-    store: str = "auto"
     memory_budget_bytes: int = 0
     verify: str = "off"
 
@@ -88,10 +82,6 @@ class ParallelConfig:
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.store not in ("auto", "ram", "mmap"):
-            raise ValueError(
-                f"store must be one of ('auto', 'ram', 'mmap'), got {self.store!r}"
             )
         if self.memory_budget_bytes < 0:
             raise ValueError(

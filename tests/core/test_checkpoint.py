@@ -53,11 +53,14 @@ def _graph(seed=0, n=120, m=360) -> EdgeList:
 
 
 def _drop_newest(directory, k=1) -> None:
-    """Simulate a crash by removing the newest k snapshot pairs."""
+    """Simulate a crash by removing the newest k snapshots (manifest and
+    ``.raw`` payload files)."""
     snaps = sorted(f for f in os.listdir(directory) if f.endswith(".json"))
     for fn in snaps[-k:]:
-        os.unlink(os.path.join(directory, fn))
-        os.unlink(os.path.join(directory, fn[:-5] + ".npz"))
+        stem = fn[:-5]
+        for name in os.listdir(directory):
+            if name == fn or name.startswith(stem + "-"):
+                os.unlink(os.path.join(directory, name))
 
 
 class TestCheckpointStore:
@@ -104,13 +107,14 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path, keep=3)
         store.save("swap", swap_round=1, arrays={"u": np.arange(4)})
         store.save("swap", swap_round=2, arrays={"u": np.arange(8)})
-        payload = (tmp_path / "snap-00000001.npz").read_bytes()
+        newest = tmp_path / "snap-00000001-u.raw"
+        payload = newest.read_bytes()
         for cut in range(len(payload)):
-            (tmp_path / "snap-00000001.npz").write_bytes(payload[:cut])
+            newest.write_bytes(payload[:cut])
             snap = store.load_latest()
             assert snap is not None and snap.swap_round == 1, f"cut={cut}"
         # restore and confirm the newest wins again
-        (tmp_path / "snap-00000001.npz").write_bytes(payload)
+        newest.write_bytes(payload)
         assert store.load_latest().swap_round == 2
 
     def test_corrupt_manifest_falls_back(self, tmp_path):
@@ -366,6 +370,19 @@ class TestGenerateResume:
         np.testing.assert_array_equal(res.v, ref.v)
         assert report.resumed
         assert report.swap_stats == ref_report.swap_stats
+
+    def test_probabilities_snapshot_has_no_payload(self, tmp_path, small_dist):
+        """The probabilities snapshot keeps its phase marker and timings
+        but writes no array: every run recomputes P."""
+        cfg = ParallelConfig(seed=11, threads=2)
+        generate_graph(small_dist, swap_iterations=1, config=cfg,
+                       checkpoint_dir=tmp_path)
+        manifest = json.loads((tmp_path / "snap-00000000.json").read_text())
+        assert manifest["phase"] == "probabilities"
+        assert set(manifest["meta"]["phase_seconds"]) == {"probabilities"}
+        assert manifest["arrays"] == {}
+        assert [f for f in os.listdir(tmp_path)
+                if f.startswith("snap-00000000")] == ["snap-00000000.json"]
 
     def test_non_graphical_rejected_at_boundary(self):
         with pytest.raises(NonGraphicalError, match="not graphical"):

@@ -1,12 +1,11 @@
-"""Out-of-core backing stores: planning, spill lifecycle, and durability.
+"""Out-of-core spill store: the spill decision, lifecycle, and durability.
 
 What must hold:
 
-- the storage planner (`select_store` / `plan_storage`) spills exactly
-  when a positive memory budget cannot hold the working set, and never
-  otherwise;
-- mmap-backed arrays, appenders, and windowed kernels produce values
-  identical to their RAM counterparts (the bitwise story's foundation);
+- the swap phase (`spill_window`) spills exactly when a positive memory
+  budget cannot hold the working set, and never otherwise;
+- mmap-backed arrays and windowed kernels produce values identical to
+  their RAM counterparts (the bitwise story's foundation);
 - spill files follow the pid-stamped manifest discipline: created under
   the spill dir, reaped only when their owner is dead — never out from
   under a live run, even when the reaper races it from another process;
@@ -32,20 +31,14 @@ from repro.core import storage
 from repro.core.checkpoint import CheckpointStore
 from repro.core.generate import generate_graph
 from repro.core.storage import (
-    ArrayAppender,
+    DEFAULT_WINDOW,
     MmapStore,
-    RamStore,
     SPILL_PREFIX,
-    StoragePlan,
     copy_into,
-    create_spill_file,
-    generation_working_set_bytes,
-    open_store,
     permute_into,
-    plan_storage,
     reap_stale_spill,
     report_stale_spill,
-    select_store,
+    spill_window,
     swap_working_set_bytes,
     total_bytes_mapped,
 )
@@ -69,50 +62,31 @@ def _dist():
 
 
 class TestSelection:
-    def test_explicit_kinds_pass_through(self):
-        assert select_store("ram", 10**9, 1) == "ram"
-        assert select_store("mmap", 1, 10**9) == "mmap"
-
-    def test_auto_spills_only_over_budget(self):
-        assert select_store("auto", 100, 0) == "ram"  # no budget: unlimited
-        assert select_store("auto", 100, 200) == "ram"
-        assert select_store("auto", 201, 200) == "mmap"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="store must be one of"):
-            select_store("disk", 1, 1)
-
     def test_config_validates_store_fields(self):
-        with pytest.raises(ValueError, match="store"):
-            ParallelConfig(store="floppy")
         with pytest.raises(ValueError, match="memory_budget_bytes"):
             ParallelConfig(memory_budget_bytes=-1)
 
-    def test_plan_storage_auto_budget(self):
-        cfg = ParallelConfig(store="auto", memory_budget_bytes=1 << 10)
-        plan = plan_storage(cfg, working_set_bytes=1 << 20)
-        assert isinstance(plan, StoragePlan)
-        assert plan.store == "mmap" and plan.window > 0
-        roomy = plan_storage(
-            ParallelConfig(store="auto", memory_budget_bytes=1 << 30),
-            working_set_bytes=1 << 20,
-        )
-        assert roomy.store == "ram" and roomy.window == 0
+    def test_store_knob_is_gone(self):
+        """The budget alone decides spilling; there is no store override."""
+        with pytest.raises(TypeError):
+            ParallelConfig(store="mmap")
+
+    def test_spill_window_budget(self):
+        ws = swap_working_set_bytes(1000)
+        assert spill_window(0, 1000) == 0  # no budget: unlimited
+        assert spill_window(ws, 1000) == 0
+        assert spill_window(1 << 10, 0) == 0  # nothing to spill
+        tiny = spill_window(ws - 1, 1000)
+        assert 0 < tiny <= DEFAULT_WINDOW
+        assert spill_window(1 << 30, 10**8) == DEFAULT_WINDOW
 
     def test_working_set_estimates_scale_linearly(self):
-        assert generation_working_set_bytes(10) == 10 * 16
         assert swap_working_set_bytes(10) == 10 * 25 * 2
 
 
 class TestStores:
-    def test_ram_store_plain_arrays(self):
-        st_ = open_store("ram")
-        a = st_.empty("x", 8, np.int64)
-        assert isinstance(a, np.ndarray) and not isinstance(a, np.memmap)
-        assert st_.bytes_mapped == 0
-
     def test_mmap_store_creates_and_releases_spill_files(self, _isolated_spill_dir):
-        st_ = open_store("mmap")
+        st_ = MmapStore()
         a = st_.empty("x", 100, np.int64)
         a[:] = np.arange(100)
         files = [f for f in os.listdir(_isolated_spill_dir) if f.endswith(".bin")]
@@ -128,40 +102,11 @@ class TestStores:
             st_.empty("y", 4, np.int64)
 
     def test_duplicate_names_rejected(self):
-        st_ = open_store("mmap")
+        st_ = MmapStore()
         st_.empty("x", 4, np.int64)
         with pytest.raises(ValueError, match="already holds"):
             st_.empty("x", 4, np.int64)
         st_.release()
-
-    def test_open_store_rejects_auto(self):
-        with pytest.raises(ValueError, match="resolve 'auto' first"):
-            open_store("auto")
-
-    @pytest.mark.parametrize("kind", ["ram", "mmap"])
-    def test_appender_roundtrip(self, kind):
-        st_ = open_store(kind)
-        app = st_.appender("z", np.int64)
-        app.append(np.arange(5))
-        app.append([])
-        app.append(np.arange(5, 12))
-        out = app.finish()
-        assert np.array_equal(np.asarray(out), np.arange(12))
-        with pytest.raises(RuntimeError, match="finished"):
-            app.append([1])
-        st_.release()
-
-    @pytest.mark.parametrize("kind", ["ram", "mmap"])
-    def test_empty_appender_yields_empty_array(self, kind, _isolated_spill_dir):
-        st_ = open_store(kind)
-        out = st_.appender("z", np.int64).finish()
-        assert len(out) == 0 and out.dtype == np.int64
-        st_.release()
-        leftovers = (
-            [f for f in os.listdir(_isolated_spill_dir) if f.endswith(".bin")]
-            if _isolated_spill_dir.is_dir() else []
-        )
-        assert leftovers == []
 
     def test_windowed_kernels_match_fancy_indexing(self):
         rng = np.random.default_rng(7)
@@ -303,7 +248,7 @@ class TestCheckpointRawPayload:
         np.testing.assert_array_equal(np.asarray(snap.arrays["v"]), big[::-1])
 
     def test_mapped_arrays_force_raw_even_when_small(self, tmp_path):
-        store = open_store("mmap")
+        store = MmapStore()
         arr = store.empty("u", 32, np.int64)
         arr[:] = np.arange(32)
         st_ = CheckpointStore(tmp_path)
@@ -313,15 +258,20 @@ class TestCheckpointRawPayload:
         np.testing.assert_array_equal(np.asarray(snap.arrays["u"]), np.arange(32))
         store.release()
 
-    def test_small_ram_arrays_keep_npz_layout(self, tmp_path):
+    def test_small_ram_arrays_use_raw_layout(self, tmp_path):
         st_ = CheckpointStore(tmp_path)
-        st_.save("swap", arrays={"u": np.arange(8)}, fingerprint="fp")
-        assert any(n.endswith(".npz") for n in os.listdir(tmp_path))
-        assert not any(n.endswith(".raw") for n in os.listdir(tmp_path))
+        st_.save("swap", arrays={"u": np.arange(8), "f": np.ones(3, bool)},
+                 fingerprint="fp")
+        names = sorted(os.listdir(tmp_path))
+        assert names == ["snap-00000000-f.raw", "snap-00000000-u.raw",
+                         "snap-00000000.json"]
+        snap = st_.load_latest("fp")
+        np.testing.assert_array_equal(np.asarray(snap.arrays["u"]), np.arange(8))
+        np.testing.assert_array_equal(np.asarray(snap.arrays["f"]), np.ones(3, bool))
 
     def test_truncated_raw_payload_falls_back(self, tmp_path):
         st_ = CheckpointStore(tmp_path)
-        store = open_store("mmap")
+        store = MmapStore()
         arr = store.empty("u", 64, np.int64)
         arr[:] = 1
         st_.save("swap", swap_round=1, arrays={"u": arr}, fingerprint="fp")
@@ -337,7 +287,7 @@ class TestCheckpointRawPayload:
 
     def test_prune_and_clear_remove_raw_files(self, tmp_path):
         st_ = CheckpointStore(tmp_path, keep=2)
-        store = open_store("mmap")
+        store = MmapStore()
         arr = store.empty("u", 16, np.int64)
         for round_ in range(4):
             arr[:] = round_
@@ -368,8 +318,7 @@ DRILL_SCRIPT = textwrap.dedent(
     reap_stale_spill()  # collect spill files stranded by the killed incarnation
     dist = DegreeDistribution(degrees=[1, 2, 3, 6], counts=[60, 40, 20, 4])
     cfg = ParallelConfig(
-        seed=42, threads=2, backend="vectorized",
-        store="mmap", memory_budget_bytes=1 << 12,
+        seed=42, threads=2, backend="vectorized", memory_budget_bytes=1 << 12,
     )
     out, report = generate_graph(
         dist, swap_iterations=6, config=cfg,
@@ -431,7 +380,7 @@ class TestTinyBudgetProperty:
         assert swap_working_set_bytes(ref.m) > budget  # premise of the test
         tiny_cfg = ParallelConfig(
             threads=2, backend="vectorized", seed=seed,
-            store="auto", memory_budget_bytes=budget,
+            memory_budget_bytes=budget,
         )
         with RunTrace() as tr:
             out, _ = generate_graph(dist, swap_iterations=1, config=tiny_cfg)

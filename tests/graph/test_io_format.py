@@ -11,7 +11,28 @@ import pytest
 
 from repro.directed.io import load_arc_list, load_bidegree_distribution
 from repro.graph.edgelist import EdgeListFormatError
-from repro.graph.io import load_degree_distribution, load_edge_list, load_metis
+from repro.graph.io import (
+    load_degree_distribution,
+    load_edge_list,
+    load_metis,
+    parse_edge_list_text,
+)
+
+
+def _load_file(loader):
+    def load(text, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        return loader(path)
+
+    return load
+
+
+LOADERS = {
+    "load_edge_list": _load_file(load_edge_list),
+    "load_arc_list": _load_file(load_arc_list),
+    "parse_edge_list_text": lambda text, tmp_path: parse_edge_list_text(text),
+}
 
 
 class TestEdgeListTolerance:
@@ -32,6 +53,17 @@ class TestEdgeListTolerance:
         path = tmp_path / "g.txt"
         path.write_bytes(b"# n=9\r\n0 1\r\n")
         assert load_edge_list(path).n == 9
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize(
+        "header", ["# run=7 n=4 m=2", "# gen=cl n=4"], ids=["run", "gen"]
+    )
+    def test_header_n_is_a_whole_token(self, tmp_path, loader, header):
+        """Only the ``n=`` token sets the vertex count: ``run=7`` must not
+        read as ``n=7``, nor ``gen=cl`` as a malformed ``n=cl``."""
+        g = LOADERS[loader](f"{header}\n0 1\n2 3\n", tmp_path)
+        assert g.n == 4
+        np.testing.assert_array_equal(g.u, [0, 2])
 
     def test_tabs_and_extra_spaces(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -11,11 +11,14 @@ from repro.parallel.runtime import ParallelConfig
 
 
 def _drop_newest(directory, k=1) -> None:
-    """Simulate a crash by removing the newest k snapshot pairs."""
+    """Simulate a crash by removing the newest k snapshots (manifest and
+    ``.raw`` payload files)."""
     snaps = sorted(f for f in os.listdir(directory) if f.endswith(".json"))
     for fn in snaps[-k:]:
-        os.unlink(os.path.join(directory, fn))
-        os.unlink(os.path.join(directory, fn[:-5] + ".npz"))
+        stem = fn[:-5]
+        for name in os.listdir(directory):
+            if name == fn or name.startswith(stem + "-"):
+                os.unlink(os.path.join(directory, name))
 
 
 class TestCumulativeTiming:

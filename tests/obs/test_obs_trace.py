@@ -163,7 +163,7 @@ class TestAutotuneEvents:
         with RunTrace() as tr:
             generate_graph(skewed_dist, swap_iterations=1, config=cfg)
         replans = tr.events("tune.replan")
-        assert [e["attrs"]["phase"] for e in replans] == ["storage", "storage"]
+        assert [e["attrs"]["phase"] for e in replans] == ["storage"]
         for ev in replans:
             attrs = ev["attrs"]
             assert attrs["store"] == "mmap"

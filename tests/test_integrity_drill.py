@@ -80,13 +80,13 @@ class TestTableDrill:
 
 
 class TestSpillDrill:
-    BUDGET = 1 << 14  # force the mmap store + windowed rounds
+    BUDGET = 1 << 10  # below both inputs' working sets: windowed spill rounds
 
     def test_flip_raises_typed_without_checkpoints(self, monkeypatch):
         g = _ring(200)
         cfg = ParallelConfig(
             seed=5, backend="vectorized", verify="cheap",
-            store="mmap", memory_budget_bytes=self.BUDGET,
+            memory_budget_bytes=self.BUDGET,
         )
         _flip_spill(monkeypatch)
         with pytest.raises(ChecksumError):
@@ -94,10 +94,7 @@ class TestSpillDrill:
 
     def test_flip_repaired_via_checkpoint_replay(self, tmp_path, monkeypatch):
         """With a checkpoint store, generate retries from the last snapshot."""
-        kw = dict(
-            seed=5, backend="vectorized", store="mmap",
-            memory_budget_bytes=self.BUDGET,
-        )
+        kw = dict(seed=5, backend="vectorized", memory_budget_bytes=self.BUDGET)
         expect, _ = generate_graph(
             DIST, swap_iterations=4, config=ParallelConfig(**kw)
         )
@@ -128,7 +125,7 @@ class TestCheckpointDrill:
         # after its digest landed, so the digest check must reject it and
         # fall back to the intact previous snapshot
         newest = json.loads(max(ck.glob("snap-*.json")).read_text())
-        flip_middle_byte(ck / newest["payload"])
+        flip_middle_byte(ck / newest["arrays"]["u"]["file"])
         with caplog.at_level(logging.WARNING, logger="repro.core.checkpoint"):
             out, report = generate_graph(
                 DIST, swap_iterations=4, config=ParallelConfig(**kw),
