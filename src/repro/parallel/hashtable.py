@@ -16,11 +16,11 @@ This reproduces the table the paper adapts from Slota et al. [33]:
 The vectorized engine executes exactly that protocol round-by-round over a
 batch of keys: every unresolved key probes its current slot, keys that see
 their own value report "present", keys that see an empty slot CAS-claim it
-(ties resolved deterministically via :func:`repro.parallel.atomics.resolve_claims`;
-losers re-read the slot next round, exactly like a failed CAS), and keys
-that see a different key advance their probe sequence.  Contention
-statistics are accumulated so experiments can verify the paper's claim
-that collisions are rare.
+(ties resolved deterministically, lowest batch index first, by a
+scatter-min into a slot-domain scratch array; losers re-read the slot next
+round, exactly like a failed CAS), and keys that see a different key
+advance their probe sequence.  Contention statistics are accumulated so
+experiments can verify the paper's claim that collisions are rare.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class ConcurrentEdgeHashTable:
         n_slots = 1
         while n_slots < max(2 * capacity_hint, 16):
             n_slots *= 2
-        self._mask = np.uint64(n_slots - 1)
+        self._mask = n_slots - 1
         self._slots = np.full(n_slots, EMPTY_KEY, dtype=np.int64)
         # scratch array for CAS-winner resolution by scatter-min: one slot
         # of state per table slot, reset (touched entries only) per round
@@ -122,13 +122,23 @@ class ConcurrentEdgeHashTable:
         self._slots.fill(EMPTY_KEY)
         self.size = 0
 
-    def _probe_offsets(self, r: np.ndarray) -> np.ndarray:
-        if self.probing == "linear":
-            return r.astype(np.uint64)
-        # quadratic probing with triangular offsets r(r+1)/2, which is a
-        # complete residue sequence modulo a power of two
-        r64 = r.astype(np.uint64)
-        return (r64 * (r64 + np.uint64(1))) >> np.uint64(1)
+    def _home_slots(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's first probe slot: its SplitMix64 hash, masked."""
+        z = _splitmix64(keys)
+        z &= self._mask
+        return z.view(np.int64)
+
+    def _advance(self, slot: np.ndarray, probe: np.ndarray, moved) -> None:
+        """Step the ``moved`` keys one place along their probe sequences.
+
+        Updates ``slot`` and ``probe`` in place.  Linear probing steps by
+        one; quadratic probing steps by the new probe count ``r``, so the
+        offsets telescope to the triangular numbers ``r(r+1)/2`` — a
+        complete residue sequence modulo a power of two.
+        """
+        probe += moved
+        slot += moved if self.probing == "linear" else probe * moved
+        slot &= self._mask
 
     # -- vectorized concurrent protocol ---------------------------------
 
@@ -150,59 +160,62 @@ class ConcurrentEdgeHashTable:
         if n == 0:
             return present
 
-        home = _splitmix64(keys)
+        # The unresolved keys stay compacted in batch order as four arrays:
+        # key, current slot, probe count and batch position.
+        key = keys
+        slot = self._home_slots(keys)
         probe = np.zeros(n, dtype=np.int64)
-        unresolved = np.arange(n)
+        pos = np.arange(n)
+        scratch = self._claim_scratch
+        unclaimed = np.iinfo(np.int64).max
 
         max_rounds = 2 * self.n_slots + 4
         for _ in range(max_rounds):
-            if len(unresolved) == 0:
+            if len(key) == 0:
                 break
-            k = keys[unresolved]
-            slot = ((home[unresolved] + self._probe_offsets(probe[unresolved])) & self._mask).astype(
-                np.int64
-            )
             existing = self._slots[slot]
-
-            is_mine = existing == k
+            is_mine = existing == key
             is_empty = existing == EMPTY_KEY
-            is_other = ~is_mine & ~is_empty
+            # round 0 holds batch-length arrays: free each one once dead
+            del existing
 
             # already present: resolve as "true"
-            present[unresolved[is_mine]] = True
+            present[pos[is_mine]] = True
+            keep = ~is_mine
 
             # empty slot: CAS claim; deterministic lowest-index winner,
-            # resolved by scatter-min into the slot-domain scratch array
-            # (equivalent to atomics.resolve_claims, without the sort)
-            claim_idx = unresolved[is_empty]
-            if len(claim_idx):
-                claim_slots = slot[is_empty]
-                scratch = self._claim_scratch
-                np.minimum.at(scratch, claim_slots, claim_idx)
-                won = scratch[claim_slots] == claim_idx
-                scratch[claim_slots] = np.iinfo(np.int64).max
-                self.stats.attempts += len(claim_idx)
-                self.stats.failures += int(len(claim_idx) - won.sum())
+            # resolved by scatter-min of compacted positions into the
+            # slot-domain scratch array — compaction keeps batch order, so
+            # the lowest position is the lowest batch index
+            claim = np.flatnonzero(is_empty)
+            if len(claim):
+                claim_slots = slot[claim]
+                np.minimum.at(scratch, claim_slots, claim)
+                won = np.flatnonzero(scratch[claim_slots] == claim)
+                self.stats.attempts += len(claim)
+                self.stats.failures += len(claim) - len(won)
                 self.stats.rounds += 1
-                winners = claim_idx[won]
-                self._slots[claim_slots[won]] = keys[winners]
-                self.size += len(winners)
+                # keep the winners and their slots; each claimed slot has
+                # exactly one winner, so resetting the winners' slots resets
+                # every scratch entry the scatter-min touched
+                claim = claim[won]
+                claim_slots = claim_slots[won]
+                del won
+                scratch[claim_slots] = unclaimed
+                self._slots[claim_slots] = key[claim]
+                self.size += len(claim)
                 # losers re-read the same slot next round (failed CAS)
+                keep[claim] = False
 
-            # different key: advance the probe sequence
-            adv = unresolved[is_other]
-            probe[adv] += 1
-            if len(adv):
-                self.max_probe = max(self.max_probe, int(probe[adv].max()))
-
-            keep = np.zeros(len(unresolved), dtype=bool)
-            keep[is_other] = True
-            if len(claim_idx):
-                lost = np.zeros(len(claim_idx), dtype=bool)
-                lost[~won] = True
-                keep[np.flatnonzero(is_empty)[lost]] = True
-            unresolved = unresolved[keep]
-        if len(unresolved):
+            # compact the state once; keys that saw a different key
+            # advance their probe sequence
+            idx = np.flatnonzero(keep)
+            moved = ~is_empty[idx]
+            key, slot, probe, pos = key[idx], slot[idx], probe[idx], pos[idx]
+            self._advance(slot, probe, moved)
+            if len(probe):
+                self.max_probe = max(self.max_probe, int(probe.max()))
+        if len(key):
             raise RuntimeError(
                 "hash table full: probing did not terminate "
                 f"(size={self.size}, slots={self.n_slots})"
@@ -223,7 +236,7 @@ class ConcurrentEdgeHashTable:
         home = int(_splitmix64(np.asarray([key], dtype=np.int64))[0])
         for r in range(self.n_slots):
             off = r if self.probing == "linear" else (r * (r + 1)) // 2
-            slot = (home + off) & int(self._mask)
+            slot = (home + off) & self._mask
             existing = int(self._slots[slot])
             if existing == key:
                 return True
@@ -241,21 +254,17 @@ class ConcurrentEdgeHashTable:
         found = np.zeros(n, dtype=bool)
         if n == 0:
             return found
-        home = _splitmix64(keys)
+        key = keys
+        slot = self._home_slots(keys)
         probe = np.zeros(n, dtype=np.int64)
-        unresolved = np.arange(n)
+        pos = np.arange(n)
         for _ in range(self.n_slots + 1):
-            if len(unresolved) == 0:
+            if len(key) == 0:
                 break
-            k = keys[unresolved]
-            slot = ((home[unresolved] + self._probe_offsets(probe[unresolved])) & self._mask).astype(
-                np.int64
-            )
             existing = self._slots[slot]
-            hit = existing == k
-            miss = existing == EMPTY_KEY
-            found[unresolved[hit]] = True
-            cont = ~hit & ~miss
-            probe[unresolved[cont]] += 1
-            unresolved = unresolved[cont]
+            hit = existing == key
+            found[pos[hit]] = True
+            idx = np.flatnonzero(~hit & (existing != EMPTY_KEY))
+            key, slot, probe, pos = key[idx], slot[idx], probe[idx], pos[idx]
+            self._advance(slot, probe, True)
         return found

@@ -130,20 +130,28 @@ def parallel_permutation(
             stats.rounds += 1
             stats.attempts += len(remaining)
         # Reservation phase: each uncommitted step atomically min-writes
-        # its id into both slots it will touch.
+        # its id into both slots it will touch.  Its own slot takes a
+        # plain store: ``remaining`` is unique and ascending, and every
+        # slot was just reset to n, above any step id.
         reservation.fill(n)
-        slots = np.concatenate([remaining, h[remaining]])
-        vals = np.concatenate([remaining, remaining])
-        np.minimum.at(reservation, slots, vals)
+        reservation[remaining] = remaining
+        np.minimum.at(reservation, h, remaining)
         # Commit phase: step i proceeds iff it holds both reservations.
-        ok = (reservation[remaining] == remaining) & (reservation[h[remaining]] == remaining)
-        idx = remaining[ok]
-        tgt = h[idx]
-        a_i = out[idx].copy()
-        a_t = out[tgt].copy()
-        out[idx] = a_t
+        # Committed steps touch disjoint slots, so their swaps can be
+        # written one side at a time.
+        ok = (reservation[remaining] == remaining) & (reservation[h] == remaining)
+        commit = np.flatnonzero(ok)
+        idx = remaining[commit]
+        tgt = h[commit]
+        a_i = out[idx]
+        out[idx] = out[tgt]
         out[tgt] = a_i
-        remaining = remaining[~ok]
+        # free the commit arrays before the compaction allocates
+        del commit, idx, tgt, a_i
+        # compact: h stays aligned with remaining (h[i] of each step i)
+        retry = np.flatnonzero(~ok)
+        remaining = remaining[retry]
+        h = h[retry]
     if len(remaining):
         raise RuntimeError("reservation permutation failed to converge")
     return out

@@ -4,18 +4,23 @@ The out-of-core engine's contract is that spilling changes *where*
 bytes live, never what they are: for a fixed seed and config, a run
 whose swap phase spills, on either backend, reproduces the in-RAM run's
 edge arrays bit for bit.  The matrix here is the enforcement:
-(serial | vectorized) × (no budget | a budget near the working set |
-a one-byte budget), all compared against the in-RAM baseline of the
-same cell.
+(serial | vectorized) × (no budget | one byte under the swap working set
+| a one-byte budget), all compared against the in-RAM baseline of the
+same cell.  The near-working-set budget is derived from the edge count
+the baseline generated, so it spills on either backend, and each
+budgeted row asserts that it did spill.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.generate import generate_graph
+from repro.core.storage import swap_working_set_bytes
 from repro.graph.degree import DegreeDistribution
+from repro.obs import RunTrace
 from repro.parallel.runtime import ParallelConfig
 
 
@@ -28,25 +33,23 @@ def _dist():
     return DegreeDistribution(degrees=[1, 2, 3, 6], counts=[90, 60, 30, 6])
 
 
-#: memory budgets: unlimited (in RAM); 8 KiB, near the working set, so
-#: whether it spills depends on the edge count each backend generates;
-#: one byte, which always spills
-BUDGETS = (0, 1 << 13, 1)
-
-
 class TestCrossStoreMatrix:
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
     def test_store_never_changes_the_graph(self, backend):
         dist = _dist()
-        baseline = None
-        for budget in BUDGETS:
-            cfg = ParallelConfig(
-                threads=2, backend=backend, seed=5, memory_budget_bytes=budget,
-            )
-            out, report = generate_graph(dist, swap_iterations=2, config=cfg)
-            if baseline is None:
-                baseline = out
-                continue
+        cfg = ParallelConfig(threads=2, backend=backend, seed=5)
+        baseline, _ = generate_graph(dist, swap_iterations=2, config=cfg)
+        # memory budgets of the spilled rows: one byte under the baseline's
+        # swap working set (the largest budget that still spills; the edge
+        # count depends on the backend), and one byte
+        for budget in (swap_working_set_bytes(baseline.m) - 1, 1):
+            with RunTrace() as tr:
+                out, _ = generate_graph(
+                    dist, swap_iterations=2,
+                    config=replace(cfg, memory_budget_bytes=budget),
+                )
+            replans = [e["attrs"]["phase"] for e in tr.events("tune.replan")]
+            assert replans == ["storage"], f"{backend}/{budget}: did not spill"
             np.testing.assert_array_equal(
                 np.asarray(out.u), np.asarray(baseline.u),
                 err_msg=f"{backend}/{budget}: u diverged from the ram baseline",

@@ -1,5 +1,8 @@
 """Tests for parallel double-edge swaps (Algorithm III.1)."""
 
+import hashlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -381,3 +384,38 @@ class TestSwapStatsAccumulation:
         assert int(keys.sum()) == 807453852012
         assert keys[0] == 3 and int(keys[-1]) == 81604378644
         np.testing.assert_array_equal(g.degree_sequence(), out.degree_sequence())
+
+
+#: every SwapStats field of a fixed 4-pass run (the counters shared by both
+#: backends, then each backend's table and permutation counters) and the
+#: first 16 hex digits of the SHA-256 of the output's ``u`` then ``v`` bytes
+SWAP_GOLDEN_SHARED = {
+    "iterations": 4,
+    "proposed": 600,
+    "accepted": 416,
+    "rejected_duplicate": 171,
+    "rejected_self_loop": 13,
+    "accepted_per_iteration": [100, 110, 107, 99],
+    "swapped_fraction_per_iteration": [0.6666666666666666, 0.9, 0.96, 0.98],
+    "mixing": None,
+}
+SWAP_GOLDEN_BACKEND = {
+    "serial": {"table_failures": 0, "table_attempts": 0, "permutation_rounds": 0},
+    "vectorized": {"table_failures": 130, "table_attempts": 2248, "permutation_rounds": 65},
+}
+SWAP_GOLDEN_DIGEST = "b0e73f9270d90c5d"
+
+
+class TestSwapStatsGolden:
+    """Every field is compared, the ``compare=False`` table counters too:
+    they pin the batched TestAndSet and the reservation permutation."""
+
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_every_field_pinned(self, backend):
+        g = random_simple_graph(120, 300, 21)
+        stats = SwapStats()
+        out = swap_edges(g, 4, ParallelConfig(seed=13, backend=backend), stats=stats)
+        got = {f.name: getattr(stats, f.name) for f in fields(SwapStats)}
+        assert got == {**SWAP_GOLDEN_SHARED, **SWAP_GOLDEN_BACKEND[backend]}
+        digest = hashlib.sha256(out.u.tobytes() + out.v.tobytes()).hexdigest()[:16]
+        assert digest == SWAP_GOLDEN_DIGEST

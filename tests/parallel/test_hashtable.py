@@ -1,5 +1,7 @@
 """Tests for the concurrent edge hash table."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,3 +156,132 @@ class TestContains:
     def test_empty_query(self):
         t = ConcurrentEdgeHashTable(8)
         assert t.contains(np.empty(0, dtype=np.int64)).shape == (0,)
+
+
+def _digest(a: np.ndarray) -> str:
+    """First 16 hex digits of the SHA-256 of an array's bytes."""
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def _contended_batches(hint: int) -> list[np.ndarray]:
+    """Two batches that fill a tiny table to one free slot.
+
+    The first batch draws ``2 * n_slots`` keys, with repeats, from a pool
+    of ``n_slots - 1`` distinct keys; the second is the whole pool,
+    shuffled, so the table ends one slot short of full.
+    """
+    n_slots = ConcurrentEdgeHashTable(hint).n_slots
+    rng = np.random.default_rng(hint)
+    pool = rng.choice(2**62, size=n_slots - 1, replace=False).astype(np.int64)
+    return [rng.choice(pool, size=2 * n_slots), rng.permutation(pool)]
+
+
+def _multi_batches(pool_size: int, batch: int, count: int) -> list[np.ndarray]:
+    """``count`` batches drawn from a pool of distinct keys: in-batch
+    duplicates and keys already registered by an earlier batch."""
+    rng = np.random.default_rng(pool_size)
+    pool = rng.choice(2**40, size=pool_size, replace=False).astype(np.int64)
+    return [rng.choice(pool, size=batch) for _ in range(count)]
+
+
+_CASES = {
+    **{
+        f"tiny-{hint}": (hint, lambda hint=hint: _contended_batches(hint))
+        for hint in (1, 3, 8, 16, 40, 64)
+    },
+    "multi-batch": (256, lambda: _multi_batches(300, 128, 8)),
+    "bulk": (20_000, lambda: _multi_batches(30_000, 20_000, 3)),
+}
+
+#: per (case, probing): the (verdicts, slots) digests, size, max_probe and
+#: (attempts, failures, rounds) of the batched TestAndSet.  The round
+#: protocol fixes every one of them for a given input, so a change to how
+#: the rounds are computed must leave every entry as it is
+TAS_GOLDEN = {
+    ("bulk", "linear"): ("e8f069edacfec91d", "e098442570cfbd52", 25997, 24, (38625, 12628, 47)),
+    ("bulk", "quadratic"): ("e8f069edacfec91d", "7ca14a2b97551404", 25997, 12, (38606, 12609, 34)),
+    ("multi-batch", "linear"): ("25822fddfbdc74a9", "59f86da938f4af61", 290, 8, (383, 93, 40)),
+    ("multi-batch", "quadratic"): ("25822fddfbdc74a9", "dfebb4ea187b0cae", 290, 13, (383, 93, 36)),
+    ("tiny-1", "linear"): ("2d50252c6dc1d66c", "0ca3d584b5365fad", 15, 8, (42, 27, 5)),
+    ("tiny-1", "quadratic"): ("2d50252c6dc1d66c", "68ce485e64922ddc", 15, 4, (42, 27, 5)),
+    ("tiny-16", "linear"): ("ab72cf1f3f4273b2", "d68ed7f0ba8ac98d", 31, 11, (84, 53, 8)),
+    ("tiny-16", "quadratic"): ("ab72cf1f3f4273b2", "b0d787cd9b90ac8f", 31, 24, (84, 53, 10)),
+    ("tiny-3", "linear"): ("e91ac74cb6bf4544", "fca84fdb3900122c", 15, 9, (39, 24, 6)),
+    ("tiny-3", "quadratic"): ("e91ac74cb6bf4544", "359328d300e578ce", 15, 7, (39, 24, 6)),
+    ("tiny-40", "linear"): ("62e7e3f7473668ba", "1a1020c6e15f7106", 127, 52, (366, 239, 26)),
+    ("tiny-40", "quadratic"): ("62e7e3f7473668ba", "ec38c0394cfddbeb", 127, 46, (363, 236, 22)),
+    ("tiny-64", "linear"): ("436e3039a60377d8", "71e5ab15be8f0e0c", 127, 109, (345, 218, 31)),
+    ("tiny-64", "quadratic"): ("436e3039a60377d8", "b5ef61edcffdfaf2", 127, 81, (344, 217, 25)),
+    ("tiny-8", "linear"): ("1b0722324facf2e1", "6a78bdb0f7087faa", 15, 3, (41, 26, 5)),
+    ("tiny-8", "quadratic"): ("1b0722324facf2e1", "6a78bdb0f7087faa", 15, 11, (41, 26, 5)),
+}
+
+
+#: size, max_probe and (attempts, failures, rounds) when a 16-slot table
+#: is offered 17 distinct keys in one batch
+OVERFULL_GOLDEN = {
+    "linear": (16, 34, (28, 12, 6)),
+    "quadratic": (16, 34, (27, 11, 5)),
+}
+
+
+class TestTestAndSetGolden:
+    """The batched round protocol's verdicts, slot layout and counters are
+    pinned per input, not only its set semantics."""
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic"])
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_pinned(self, case, probing):
+        hint, make = _CASES[case]
+        batches = make()
+        t = ConcurrentEdgeHashTable(hint, probing=probing)
+        verdicts = []
+        for batch in batches:
+            verdicts.append(t.test_and_set(batch))
+            # the CAS scratch is reset to "unclaimed" before returning
+            assert (t._claim_scratch == np.iinfo(np.int64).max).all()
+        got = (
+            _digest(np.concatenate(verdicts)),
+            _digest(t._slots),
+            t.size,
+            t.max_probe,
+            (t.stats.attempts, t.stats.failures, t.stats.rounds),
+        )
+        assert got == TAS_GOLDEN[case, probing]
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic"])
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_contains_matches_set(self, case, probing):
+        hint, make = _CASES[case]
+        batches = make()
+        t = ConcurrentEdgeHashTable(hint, probing=probing)
+        for batch in batches:
+            t.test_and_set(batch)
+        inserted = np.unique(np.concatenate(batches))
+        absent = np.arange(1, 65, dtype=np.int64) * 7
+        absent = absent[~np.isin(absent, inserted)]
+        queries = np.concatenate([inserted, absent, inserted[::3]])
+        expect = np.isin(queries, inserted)
+        np.testing.assert_array_equal(t.contains(queries), expect)
+        assert t.size == len(inserted)
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic"])
+    def test_overfull_table_raises(self, probing):
+        t = ConcurrentEdgeHashTable(1, probing=probing)
+        keys = np.arange(t.n_slots + 1, dtype=np.int64) * 1_000_003
+        with pytest.raises(RuntimeError, match="hash table full"):
+            t.test_and_set(keys)
+        assert (t._claim_scratch == np.iinfo(np.int64).max).all()
+        got = (t.size, t.max_probe, (t.stats.attempts, t.stats.failures, t.stats.rounds))
+        assert got == OVERFULL_GOLDEN[probing]
+        # a lookup of an absent key on the full table still terminates
+        assert not t.contains(keys[-1:] + 1).any()
+
+    @pytest.mark.parametrize("probing", ["linear", "quadratic"])
+    def test_overfull_table_raises_serial(self, probing):
+        t = ConcurrentEdgeHashTable(1, probing=probing)
+        keys = np.arange(t.n_slots + 1, dtype=np.int64) * 1_000_003
+        with pytest.raises(RuntimeError, match="hash table full"):
+            t.test_and_set_serial(keys)
+        assert t.size == t.n_slots
+

@@ -1,5 +1,7 @@
 """Tests for the reservation-based parallel permutation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,3 +124,29 @@ class TestFisherYates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             fisher_yates_permutation(np.arange(4), targets=np.asarray([0]))
+
+
+#: n -> (seed, (n, rounds, attempts), first 16 hex digits of the output's
+#: SHA-256); the reservation protocol fixes all of them for a seed, so a
+#: change to how its rounds are computed must leave every entry as it is
+PERM_GOLDEN = {
+    0: (3, (0, 0, 0), "e3b0c44298fc1c14"),
+    1: (4, (1, 1, 1), "af5570f5a1810b7a"),
+    2: (5, (2, 2, 3), "4cbbd8ca5215b8d1"),
+    1_000: (6, (1000, 22, 3494), "c550eae862d004a5"),
+    200_000: (7, (200000, 42, 689652), "326db79dbad88e4c"),
+}
+
+
+class TestPermutationGolden:
+    """Round and attempt counts are part of the swap chain's stats
+    (``SwapStats.permutation_rounds``), so they are pinned per seed."""
+
+    @pytest.mark.parametrize("n", sorted(PERM_GOLDEN))
+    def test_pinned(self, n):
+        seed, counts, digest = PERM_GOLDEN[n]
+        stats = PermutationStats()
+        out = parallel_permutation(np.arange(n), ParallelConfig(seed=seed), stats=stats)
+        assert (stats.n, stats.rounds, stats.attempts) == counts
+        assert hashlib.sha256(out.tobytes()).hexdigest()[:16] == digest
+        np.testing.assert_array_equal(out, fisher_yates_permutation(np.arange(n), seed))

@@ -1,5 +1,6 @@
 """Public API surface and documentation-example tests."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import repro
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 class TestPublicSurface:
@@ -51,11 +53,14 @@ class TestExampleScripts:
         ],
     )
     def test_fast_examples(self, script):
+        # the script runs the checkout's library, as the other subprocess
+        # tests do, whatever PYTHONPATH pytest itself was started with
         result = subprocess.run(
             [sys.executable, str(EXAMPLES / script)],
             capture_output=True,
             text=True,
             timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         )
         assert result.returncode == 0, result.stderr
 
