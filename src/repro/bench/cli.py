@@ -80,12 +80,6 @@ EXPERIMENTS = {
 def _reap_dry_run(checkpoint_dir: str | None) -> int:
     """Print what the startup reap *would* collect, deleting nothing."""
     entries: list[dict] = []
-    try:
-        from repro.core.storage import report_stale_spill
-
-        entries.extend(report_stale_spill())
-    except Exception as exc:
-        print(f"spill sweep failed: {exc}", file=sys.stderr)
     if checkpoint_dir:
         try:
             from repro.core.checkpoint import report_stale_checkpoints
@@ -147,10 +141,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--reap-dry-run",
         action="store_true",
-        help="report the stale artifacts (spill files, checkpoint tmp "
-        "files) the startup reap would collect — "
-        "paths, owner pids, ages, sizes — then exit without deleting "
-        "anything or running experiments",
+        help="report the stale checkpoint artifacts under --checkpoint-dir "
+        "(dead writers' tmp files, finished runs' stores) the startup reap "
+        "would collect — paths, owner pids, ages, sizes — then exit "
+        "without deleting anything or running experiments",
     )
     args = parser.parse_args(argv)
     if args.resume and not args.checkpoint_dir:
@@ -159,22 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.reap_dry_run:
         return _reap_dry_run(args.checkpoint_dir)
 
-    # collect spill files stranded by earlier crashed runs before the
-    # experiments allocate fresh ones
-    try:
-        from repro.core.storage import reap_stale_spill
-
-        reaped = reap_stale_spill()
-        if reaped:
-            print(
-                f"reaped {len(reaped)} stale spill artifact(s)",
-                file=sys.stderr,
-            )
-    except Exception:
-        pass
-    # same discipline for checkpoint artifacts: collect dead writers' tmp
-    # files and finished runs' stores — but never while resuming, when a
-    # finished store is exactly what the short-circuit path wants
+    # collect dead writers' checkpoint tmp files and finished runs'
+    # stores — but never while resuming, when a finished store is exactly
+    # what the short-circuit path wants
     if args.checkpoint_dir and not args.resume:
         try:
             from repro.core.checkpoint import reap_stale_checkpoints

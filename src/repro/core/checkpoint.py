@@ -29,11 +29,13 @@ file's length and checksum verify — a snapshot truncated at *any* byte
 is detected and the previous snapshot is used instead (the store
 retains the last few).
 
-Stale artifacts are collected with the same pid-stamping pattern as
-:func:`repro.core.storage.reap_stale_spill`: temporaries name their
-writer's pid and are removed once that pid is gone, and stores whose run reached
-``done`` under a now-dead owner are reaped wholesale by
-:func:`reap_stale_checkpoints` (wired into the bench CLI).
+Temporaries keep a name because they are renamed into durable
+snapshots, so a killed writer can leave one behind.  Stale artifacts are
+therefore pid-stamped: temporaries name their writer's pid and are
+removed once that pid is gone, and stores whose run reached ``done``
+under a now-dead owner are reaped wholesale by
+:func:`reap_stale_checkpoints` (wired into the bench CLI and the
+serving broker).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.storage import _pid_alive, _stale_entry, _unlink_reported
 from repro.obs import trace as obs_trace
 
 __all__ = [
@@ -519,12 +520,51 @@ def as_store(source) -> CheckpointStore | None:
     return CheckpointStore(source)
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether a process with this pid currently exists."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - exists, owned by another user
+        return True
+    return True
+
+
+def _stale_entry(path, pid: int, now: float) -> dict | None:
+    """One stale-artifact report entry; ``None`` if the path is gone."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return {
+        "path": str(path),
+        "pid": pid,
+        "bytes": int(st.st_size),
+        "age_seconds": max(0.0, now - st.st_mtime),
+        "kind": "checkpoint",
+    }
+
+
+def _unlink_reported(entries: list[dict]) -> list[str]:
+    """Unlink every reported path; returns the ones actually removed."""
+    removed: list[str] = []
+    for entry in entries:
+        try:
+            os.unlink(entry["path"])
+        except OSError:  # racing reaper
+            continue
+        removed.append(entry["path"])
+    return removed
+
+
 def report_stale_checkpoints(root) -> list[dict]:
     """Checkpoint artifacts whose owning run is over; removes nothing.
 
-    The pid-stamping pattern of :func:`repro.core.storage.report_stale_spill`
-    applied to the checkpoint tree rooted at ``root`` (a store directory
-    or a directory of store directories):
+    Sweeps the checkpoint tree rooted at ``root`` (a store directory or
+    a directory of store directories) for pid-stamped artifacts:
 
     1. **temporaries** — ``.tmp-<pid>-*`` files whose writer pid is dead
        are half-written snapshots that will never be renamed;
@@ -545,7 +585,7 @@ def report_stale_checkpoints(root) -> list[dict]:
     report: list[dict] = []
 
     def add(path, pid: int) -> None:
-        entry = _stale_entry(path, pid, "checkpoint", now)
+        entry = _stale_entry(path, pid, now)
         if entry is not None:
             report.append(entry)
 

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import time
 from dataclasses import dataclass, field, fields
 
@@ -87,9 +86,6 @@ from repro.parallel.runtime import ParallelConfig
 
 __all__ = ["SwapStats", "swap_edges", "serial_swap_chain"]
 
-#: uniquifier for the names of store-backed working arrays
-_STORE_SEQ = itertools.count()
-
 
 def _open_swap_store(config, m):
     """Open the swap phase's spill store when the budget says so.
@@ -118,17 +114,15 @@ def _open_swap_store(config, m):
 def _store_working_arrays(store, window, u_src, v_src, swapped_src, m):
     """Allocate the loop's persistent arrays from a store (windowed fill).
 
-    ``swapped_src`` is ``None`` on a fresh run (no edge has swapped yet).
+    ``swapped_src`` is ``None`` on a fresh run (no edge has swapped yet):
+    a fresh spill file already reads as all ``False``.
     """
-    tag = next(_STORE_SEQ)
-    u = store.empty(f"swap{tag}_u", m, np.int64)
-    v = store.empty(f"swap{tag}_v", m, np.int64)
-    swapped = store.empty(f"swap{tag}_swapped", m, np.bool_)
+    u = store.empty(m, np.int64)
+    v = store.empty(m, np.int64)
+    swapped = store.empty(m, np.bool_)
     copy_into(u, u_src, window)
     copy_into(v, v_src, window)
-    if swapped_src is None:
-        swapped[:] = False
-    else:
+    if swapped_src is not None:
         copy_into(swapped, swapped_src, window)
     return u, v, swapped
 
@@ -586,13 +580,9 @@ def swap_edges(
         record_table_stats(tr.metrics, table)
     if local is not None and stats is not None:
         stats.merge_from(local)
-    if run_store is not None:
-        # sample the mapped footprint while the store still owns it, then
-        # settle the disk debt: the mappings behind the returned arrays
-        # stay valid (deleted-but-open), only the paths go away
-        if tr is not None:
-            record_memory_stats(tr.metrics)
-        run_store.release()
+    if run_store is not None and tr is not None:
+        # sample the mapped footprint while the store still owns it
+        record_memory_stats(tr.metrics)
     return EdgeList(u, v, graph.n)
 
 
@@ -656,7 +646,7 @@ def _swap_loop(
             return arr[order]
         spare = pong.get(name)
         if spare is None:
-            spare = store.empty(f"pp{next(_STORE_SEQ)}_{name}", m, arr.dtype)
+            spare = store.empty(m, arr.dtype)
         permute_into(spare, arr, order, window)
         pong[name] = arr  # the source becomes next round's gather target
         return spare
@@ -680,7 +670,7 @@ def _swap_loop(
                     # build the maintained keys store-backed, one window
                     # at a time (pack_edges is elementwise, so the values
                     # match a whole-array pack exactly)
-                    keys = store.empty(f"pp{next(_STORE_SEQ)}_keys", m, np.int64)
+                    keys = store.empty(m, np.int64)
                     for lo in range(0, m, window):
                         hi = min(lo + window, m)
                         keys[lo:hi] = pack_edges(u[lo:hi], v[lo:hi])

@@ -11,8 +11,8 @@ runtime.  It provides:
   permutation of Shun et al. plus baselines;
 - :mod:`repro.parallel.hashtable` — the packed-key open-addressing hash
   table with ``TestAndSet`` semantics used for edge-simplicity checks;
-- :mod:`repro.parallel.atomics` — simulated atomic primitives with
-  contention accounting;
+- :mod:`repro.parallel.atomics` — contention counters of the simulated
+  atomic primitives;
 - :mod:`repro.parallel.cost_model` — work/span accounting that converts
   measured work into simulated p-thread wall-clock for scaling studies.
 

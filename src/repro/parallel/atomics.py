@@ -1,24 +1,23 @@
-"""Simulated atomic primitives with contention accounting.
+"""Contention counters for the simulated atomic primitives.
 
 The lock-free structures in this library (the edge hash table, the
 reservation-based permutation) are built on one primitive: a batch of
 "threads" each attempt a compare-and-swap on some memory slot, exactly one
 attempt per slot succeeds, and the rest observe failure and retry.  In a
 real multithreaded execution the winner among simultaneous CAS attempts is
-arbitrary; here we resolve it deterministically (lowest attempt index
-wins) so that runs are reproducible for a fixed seed, and we count the
-contended attempts so experiments can report how rare collisions are (the
-paper notes they are "rather rare as each key is initially guaranteed to
-be unique").
+arbitrary; the kernels resolve it deterministically (lowest attempt index
+wins, by scatter-min) so that runs are reproducible for a fixed seed.
+:class:`ContentionStats` counts the attempts, the contended ones and the
+rounds, so experiments can report how rare collisions are (the paper
+notes they are "rather rare as each key is initially guaranteed to be
+unique").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["ContentionStats", "resolve_claims"]
+__all__ = ["ContentionStats"]
 
 
 @dataclass
@@ -41,24 +40,3 @@ class ContentionStats:
     def failure_rate(self) -> float:
         """Fraction of CAS attempts that were contended."""
         return self.failures / self.attempts if self.attempts else 0.0
-
-
-def resolve_claims(slots: np.ndarray, stats: ContentionStats | None = None) -> np.ndarray:
-    """Resolve a round of simultaneous CAS claims on ``slots``.
-
-    ``slots[i]`` is the memory location attempt ``i`` targets.  Returns a
-    boolean mask ``won`` where exactly one attempt per distinct slot wins
-    (the lowest index, mimicking a deterministic schedule).  ``stats``, if
-    given, is updated with the attempt/failure counts of this round.
-    """
-    slots = np.asarray(slots)
-    won = np.zeros(len(slots), dtype=bool)
-    if len(slots):
-        # first occurrence of each distinct slot wins
-        first = np.unique(slots, return_index=True)[1]
-        won[first] = True
-    if stats is not None:
-        stats.attempts += len(slots)
-        stats.failures += int(len(slots) - won.sum())
-        stats.rounds += 1
-    return won

@@ -31,7 +31,7 @@ Failure model
   yields :class:`RetriesExhaustedError` carrying the last error.
 - **Drain** (SIGTERM or :meth:`Broker.drain`) stops admitting, finishes
   in-flight jobs, persists still-queued specs to
-  ``drain_dir/pending-jobs.json`` (atomic write), reaps stale spill and
+  ``drain_dir/pending-jobs.json`` (atomic write), reaps stale
   checkpoint artifacts, and resolves abandoned waiters with typed
   errors.  A restarted broker resubmits the persisted specs.
 """
@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.core.checkpoint import reap_stale_checkpoints
 from repro.core.generate import generate_graph
-from repro.core.storage import reap_stale_spill
 from repro.core.swap import swap_edges
 from repro.graph.edgelist import EdgeList
 from repro.obs import trace as obs_trace
@@ -611,29 +610,24 @@ class Broker:
         with contextlib.suppress(Exception):
             await self.submit(spec)
 
-    # -- stale-artifact reaping (satellite: long-lived server hygiene) -----
+    # -- stale-artifact reaping (long-lived server hygiene) ----------------
 
     def _reap(self) -> dict:
-        """One sweep of spill files and checkpoint stores."""
-        swept = {"spill": 0, "checkpoints": 0}
-        with contextlib.suppress(OSError):
-            swept["spill"] = len(reap_stale_spill())
+        """One sweep of the checkpoint stores under ``checkpoint_root``."""
+        reaped = 0
         if self.config.checkpoint_root:
             with contextlib.suppress(OSError):
-                swept["checkpoints"] = len(
-                    reap_stale_checkpoints(self.config.checkpoint_root)
-                )
+                reaped = len(reap_stale_checkpoints(self.config.checkpoint_root))
         self._count("serve.reap_sweeps")
-        reaped = sum(swept.values())
         if reaped:
             self._count("serve.reaped_artifacts", reaped)
-        return swept
+        return {"checkpoints": reaped}
 
     async def _reap_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.reap_interval)
             swept = self._reap()
-            if sum(swept.values()):
+            if swept["checkpoints"]:
                 self._event("serve.reap", startup=False, **swept)
 
     # -- bookkeeping helpers (loop thread only) ----------------------------

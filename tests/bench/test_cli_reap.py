@@ -3,19 +3,7 @@
 import subprocess
 import sys
 
-import pytest
-
 from repro.bench.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _isolated_spill_dir(tmp_path, monkeypatch):
-    """Point the spill sweep at an empty dir so the host's real stale
-    spill files (if any) never leak into assertions."""
-    d = tmp_path / "spill"
-    d.mkdir()
-    monkeypatch.setenv("REPRO_SPILL_DIR", str(d))
-    return d
 
 
 def _dead_pid() -> int:
@@ -47,21 +35,6 @@ class TestReapDryRun:
         # dry run: the artifact must survive
         assert stale.exists()
         assert stale.stat().st_size == 512
-
-    def test_reports_dead_owner_spill_file_without_deleting(
-        self, _isolated_spill_dir, capsys
-    ):
-        from repro.core.storage import SPILL_PREFIX
-
-        stale = _isolated_spill_dir / f"{SPILL_PREFIX}{_dead_pid()}-0-dead.bin"
-        stale.write_bytes(b"x" * 256)
-        assert main(["--reap-dry-run"]) == 0
-        out = capsys.readouterr().out
-        assert "a reap would delete 1 artifact(s)" in out
-        assert str(stale) in out
-        assert "spill" in out
-        # dry run: the artifact must survive
-        assert stale.exists()
 
     def test_live_writer_tmp_file_not_reported(self, tmp_path, capsys):
         import os

@@ -6,38 +6,33 @@ What must hold:
   budget cannot hold the working set, and never otherwise;
 - mmap-backed arrays and windowed kernels produce values identical to
   their RAM counterparts (the bitwise story's foundation);
-- spill files follow the pid-stamped manifest discipline: created under
-  the spill dir, reaped only when their owner is dead — never out from
-  under a live run, even when the reaper races it from another process;
+- spill files are anonymous from creation on: the spill dir stays empty
+  while a process holds spilled arrays, and stays empty after that
+  process is SIGKILLed, so there is nothing to reap;
 - a SIGKILLed mmap-backed durable run resumes bitwise-identically (the
-  checkpoint raw payload mode round-trips mapped arrays);
+  checkpoint raw payload mode round-trips mapped arrays) and leaves the
+  spill dir empty;
 - under an artificially tiny ``memory_budget_bytes`` the engine
   actually engages the spill path (property-tested over budgets).
 """
 
-import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import storage
 from repro.core.checkpoint import CheckpointStore
 from repro.core.generate import generate_graph
 from repro.core.storage import (
     DEFAULT_WINDOW,
     MmapStore,
-    SPILL_PREFIX,
     copy_into,
     permute_into,
-    reap_stale_spill,
-    report_stale_spill,
     spill_window,
     swap_working_set_bytes,
     total_bytes_mapped,
@@ -87,26 +82,16 @@ class TestSelection:
 class TestStores:
     def test_mmap_store_creates_and_releases_spill_files(self, _isolated_spill_dir):
         st_ = MmapStore()
-        a = st_.empty("x", 100, np.int64)
+        a = st_.empty(100, np.int64)
+        assert not a.any()  # a fresh spill file reads as zeros
         a[:] = np.arange(100)
-        files = [f for f in os.listdir(_isolated_spill_dir) if f.endswith(".bin")]
-        manifests = [f for f in os.listdir(_isolated_spill_dir) if f.endswith(".json")]
-        assert len(files) == 1 and len(manifests) == 1
+        # the file has no name from creation on: nothing to list or leak
+        assert os.listdir(_isolated_spill_dir) == []
         assert st_.bytes_mapped == 800
         assert total_bytes_mapped() >= 800
-        st_.release()
-        # paths are gone, the mapping stays valid (deleted-but-open)
-        assert [f for f in os.listdir(_isolated_spill_dir) if f.endswith(".bin")] == []
+        # the mapping alone keeps the file alive, past its store
+        del st_
         assert np.array_equal(np.asarray(a), np.arange(100))
-        with pytest.raises(RuntimeError, match="released"):
-            st_.empty("y", 4, np.int64)
-
-    def test_duplicate_names_rejected(self):
-        st_ = MmapStore()
-        st_.empty("x", 4, np.int64)
-        with pytest.raises(ValueError, match="already holds"):
-            st_.empty("x", 4, np.int64)
-        st_.release()
 
     def test_windowed_kernels_match_fancy_indexing(self):
         rng = np.random.default_rng(7)
@@ -127,83 +112,21 @@ class TestStores:
             permute_into(np.empty(3), np.empty(4), np.arange(4))
 
 
-class TestReapStaleSpill:
-    def _fake_dead_store(self, d, pid):
-        """Spill file + manifest stamped with a (dead) pid."""
-        path = os.path.join(d, f"{SPILL_PREFIX}{pid}-0-beef.bin")
-        with open(path, "wb") as fh:
-            fh.write(b"\0" * 8)
-        manifest = os.path.join(d, f"{SPILL_PREFIX}{pid}-0.json")
-        with open(manifest, "w") as fh:
-            json.dump({"pid": pid, "files": [path]}, fh)
-        return path, manifest
-
-    def test_dead_owner_reaped_live_owner_kept(self, _isolated_spill_dir):
-        d = str(_isolated_spill_dir)
-        os.makedirs(d, exist_ok=True)
-        dead_file, dead_manifest = self._fake_dead_store(d, 2**22 + 12345)
-        live = MmapStore()
-        arr = live.empty("keep", 16, np.int64)
-        arr[:] = 7
-        removed = reap_stale_spill()
-        assert dead_file in removed
-        assert not os.path.exists(dead_file)
-        assert not os.path.exists(dead_manifest)
-        # the live store's file and manifest survived
-        assert os.path.exists(live.path_of("keep"))
-        assert np.array_equal(np.asarray(arr), np.full(16, 7))
-        live.release()
-
-    def test_reap_returns_exactly_what_dry_run_lists(self, _isolated_spill_dir):
-        """The reap removes and returns the dry run's paths, manifest
-        included, so a "reaped N" count matches the dry run's."""
-        d = str(_isolated_spill_dir)
-        os.makedirs(d, exist_ok=True)
-        self._fake_dead_store(d, 2**22 + 4242)
-        listed = sorted(e["path"] for e in report_stale_spill())
-        assert len(listed) == 2
-        assert sorted(reap_stale_spill()) == listed
-        assert not any(os.path.exists(p) for p in listed)
-
-    def test_orphan_bin_without_manifest_reaped_by_name(self, _isolated_spill_dir):
-        d = str(_isolated_spill_dir)
-        os.makedirs(d, exist_ok=True)
-        orphan = os.path.join(d, f"{SPILL_PREFIX}{2**22 + 999}-3-cafe.bin")
-        open(orphan, "wb").close()
-        foreign = os.path.join(d, "unrelated.bin")
-        open(foreign, "wb").close()
-        removed = reap_stale_spill()
-        assert orphan in removed and not os.path.exists(orphan)
-        assert os.path.exists(foreign)  # never touch foreign names
-
-    def test_manifest_only_lists_spill_names(self, _isolated_spill_dir, tmp_path):
-        """A (malicious or corrupt) manifest cannot direct deletions
-        outside the spill naming scheme."""
-        d = str(_isolated_spill_dir)
-        os.makedirs(d, exist_ok=True)
-        victim = tmp_path / "precious.txt"
-        victim.write_text("data")
-        manifest = os.path.join(d, f"{SPILL_PREFIX}{2**22 + 77}-0.json")
-        with open(manifest, "w") as fh:
-            json.dump({"pid": 2**22 + 77, "files": [str(victim)]}, fh)
-        reap_stale_spill()
-        assert victim.exists()
-        assert not os.path.exists(manifest)
-
-    def test_reap_races_live_run(self, _isolated_spill_dir):
-        """A reaper running concurrently with a live out-of-core run must
-        not collect that run's spill files; after the run dies (SIGKILL,
-        so no cleanup), the same sweep collects them."""
+class TestAnonymousSpill:
+    def test_sigkilled_holder_leaves_spill_dir_empty(self, _isolated_spill_dir):
+        """A process holding a spilled array shows nothing in the spill
+        dir, and SIGKILLing it (so no cleanup code runs) leaves nothing
+        behind: the kernel frees a file with no name and no mapping."""
         d = str(_isolated_spill_dir)
         script = textwrap.dedent(
             """
-            import sys, time
+            import time
             import numpy as np
             from repro.core.storage import MmapStore
             store = MmapStore()
-            arr = store.empty("held", 64, np.int64)
+            arr = store.empty(4096, np.int64)
             arr[:] = 1
-            print("ready", flush=True)
+            print(int(arr.sum()), store.bytes_mapped, flush=True)
             time.sleep(60)  # parent SIGKILLs us mid-hold
             """
         )
@@ -213,23 +136,21 @@ class TestReapStaleSpill:
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
         try:
-            assert proc.stdout.readline().strip() == "ready"
-            live_bins = [f for f in os.listdir(d) if f.endswith(".bin")]
-            assert live_bins, "child created no spill file"
-            # race: reap while the owner is alive — nothing may vanish
-            assert reap_stale_spill() == []
-            assert sorted(f for f in os.listdir(d) if f.endswith(".bin")) == sorted(live_bins)
+            line = proc.stdout.readline().strip()
+            assert line == "4096 32768", f"child failed: {line!r}"
+            assert os.listdir(d) == []
+            maps = f"/proc/{proc.pid}/maps"
+            if os.path.exists(maps):  # Linux: the mapping is a deleted file
+                with open(maps) as fh:
+                    held = [ln for ln in fh
+                            if os.path.realpath(d) in ln and "(deleted)" in ln]
+                assert held, "child maps no spill file"
         finally:
             proc.kill()
             proc.wait(timeout=30)
-        # owner is gone without cleanup: now the sweep collects everything
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            reap_stale_spill()
-            if not [f for f in os.listdir(d) if f.startswith(SPILL_PREFIX)]:
-                break
-            time.sleep(0.2)
-        assert [f for f in os.listdir(d) if f.startswith(SPILL_PREFIX)] == []
+            proc.stdout.close()
+        assert proc.returncode == -signal.SIGKILL
+        assert os.listdir(d) == []
 
 
 class TestCheckpointRawPayload:
@@ -248,15 +169,13 @@ class TestCheckpointRawPayload:
         np.testing.assert_array_equal(np.asarray(snap.arrays["v"]), big[::-1])
 
     def test_mapped_arrays_force_raw_even_when_small(self, tmp_path):
-        store = MmapStore()
-        arr = store.empty("u", 32, np.int64)
+        arr = MmapStore().empty(32, np.int64)
         arr[:] = np.arange(32)
         st_ = CheckpointStore(tmp_path)
         st_.save("swap", arrays={"u": arr}, fingerprint="fp")
         assert any(n.endswith(".raw") for n in os.listdir(tmp_path))
         snap = st_.load_latest("fp")
         np.testing.assert_array_equal(np.asarray(snap.arrays["u"]), np.arange(32))
-        store.release()
 
     def test_small_ram_arrays_use_raw_layout(self, tmp_path):
         st_ = CheckpointStore(tmp_path)
@@ -271,13 +190,11 @@ class TestCheckpointRawPayload:
 
     def test_truncated_raw_payload_falls_back(self, tmp_path):
         st_ = CheckpointStore(tmp_path)
-        store = MmapStore()
-        arr = store.empty("u", 64, np.int64)
+        arr = MmapStore().empty(64, np.int64)
         arr[:] = 1
         st_.save("swap", swap_round=1, arrays={"u": arr}, fingerprint="fp")
         arr[:] = 2
         st_.save("swap", swap_round=2, arrays={"u": arr}, fingerprint="fp")
-        store.release()
         newest_raw = sorted(f for f in os.listdir(tmp_path) if f.endswith(".raw"))[-1]
         data = (tmp_path / newest_raw).read_bytes()
         (tmp_path / newest_raw).write_bytes(data[:-8])
@@ -287,8 +204,7 @@ class TestCheckpointRawPayload:
 
     def test_prune_and_clear_remove_raw_files(self, tmp_path):
         st_ = CheckpointStore(tmp_path, keep=2)
-        store = MmapStore()
-        arr = store.empty("u", 16, np.int64)
+        arr = MmapStore().empty(16, np.int64)
         for round_ in range(4):
             arr[:] = round_
             st_.save("swap", swap_round=round_, arrays={"u": arr},
@@ -297,7 +213,6 @@ class TestCheckpointRawPayload:
         assert len(raws) == 2  # pruned to keep=2
         st_.clear()
         assert [f for f in os.listdir(tmp_path) if f.startswith("snap-")] == []
-        store.release()
 
 
 DRILL_SCRIPT = textwrap.dedent(
@@ -308,14 +223,12 @@ DRILL_SCRIPT = textwrap.dedent(
 
     from repro.core.generate import generate_graph
     from repro.graph.degree import DegreeDistribution
-    from repro.core.storage import reap_stale_spill
     from repro.parallel.runtime import ParallelConfig
     from tests.drills import kill_after_save
 
     ckpt_dir, out_path = sys.argv[1], sys.argv[2]
     if len(sys.argv) > 3:
         kill_after_save(int(sys.argv[3]))
-    reap_stale_spill()  # collect spill files stranded by the killed incarnation
     dist = DegreeDistribution(degrees=[1, 2, 3, 6], counts=[60, 40, 20, 4])
     cfg = ParallelConfig(
         seed=42, threads=2, backend="vectorized", memory_budget_bytes=1 << 12,
@@ -354,15 +267,14 @@ class TestMmapSigkillResume:
         assert not out_path.exists()
         assert any(f.endswith(".json") for f in os.listdir(ckpt)), (
             "no durable snapshot before the kill")
+        # killed mid-swap with spilled arrays mapped: nothing left behind
+        assert os.listdir(_isolated_spill_dir) == []
         second = subprocess.run(argv, env=env, capture_output=True, timeout=120)
         assert second.returncode == 0, second.stderr.decode()
         with np.load(out_path) as data:
             np.testing.assert_array_equal(data["u"], np.asarray(ref.u))
             np.testing.assert_array_equal(data["v"], np.asarray(ref.v))
-        # the killed incarnation's spill files are reapable afterwards
-        reap_stale_spill()
-        assert [f for f in os.listdir(_isolated_spill_dir)
-                if f.startswith(SPILL_PREFIX)] == []
+        assert os.listdir(_isolated_spill_dir) == []
 
 
 class TestTinyBudgetProperty:

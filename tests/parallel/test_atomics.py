@@ -1,42 +1,6 @@
-"""Tests for simulated atomic claim resolution."""
+"""Tests for the simulated-atomics contention counters."""
 
-import numpy as np
-from hypothesis import given, strategies as st
-
-from repro.parallel.atomics import ContentionStats, resolve_claims
-
-
-class TestResolveClaims:
-    def test_unique_slots_all_win(self):
-        won = resolve_claims(np.asarray([3, 1, 7]))
-        assert won.all()
-
-    def test_duplicate_slot_lowest_index_wins(self):
-        won = resolve_claims(np.asarray([5, 5, 5]))
-        np.testing.assert_array_equal(won, [True, False, False])
-
-    def test_mixed(self):
-        won = resolve_claims(np.asarray([2, 9, 2, 9, 4]))
-        np.testing.assert_array_equal(won, [True, True, False, False, True])
-
-    def test_empty(self):
-        assert resolve_claims(np.asarray([], dtype=np.int64)).shape == (0,)
-
-    def test_stats_accumulated(self):
-        stats = ContentionStats()
-        resolve_claims(np.asarray([1, 1, 2]), stats)
-        assert stats.attempts == 3
-        assert stats.failures == 1
-        assert stats.rounds == 1
-        resolve_claims(np.asarray([4]), stats)
-        assert stats.attempts == 4 and stats.rounds == 2
-
-    @given(st.lists(st.integers(0, 20), max_size=100))
-    def test_exactly_one_winner_per_slot(self, slots):
-        arr = np.asarray(slots, dtype=np.int64)
-        won = resolve_claims(arr)
-        for s in set(slots):
-            assert won[arr == s].sum() == 1
+from repro.parallel.atomics import ContentionStats
 
 
 class TestContentionStats:
