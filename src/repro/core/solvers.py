@@ -15,7 +15,6 @@ O(|D|²) with a small residual.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize, sparse
 
 from repro.core.probabilities import ProbabilityResult
 from repro.graph.degree import DegreeDistribution
@@ -48,6 +47,8 @@ def solve_probabilities_lsq(
     practice the solver drives the residual to ~0; infeasibility shows up
     as a nonzero residual reported via ``residual_stubs``.
     """
+    from scipy import optimize, sparse  # imported here: only this solver needs scipy
+
     k = dist.n_classes
     counts = dist.counts.astype(np.float64)
     degrees = dist.degrees.astype(np.float64)

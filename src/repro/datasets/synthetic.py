@@ -17,7 +17,6 @@ randomness is wanted.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.graph.degree import DegreeDistribution
 
@@ -140,6 +139,8 @@ def deterministic_powerlaw(
         elif avg_for(lo_g) <= d_avg:
             gamma = lo_g
         else:
+            from scipy import optimize  # imported here: only this root-find needs scipy
+
             gamma = optimize.brentq(lambda g: avg_for(g) - d_avg, lo_g, hi_g, xtol=1e-6)
         counts = counts_for(float(gamma))
         degrees, counts = fix_parity(support, counts)

@@ -110,8 +110,8 @@ class ServeConfig:
     #: result-cache bounds
     cache_entries: int = 128
     cache_bytes: int = 256 << 20
-    #: periodic stale-artifact sweep cadence in seconds (0 = startup +
-    #: drain sweeps only)
+    #: periodic sweep cadence in seconds over ``checkpoint_root`` (0, or
+    #: no ``checkpoint_root``, = startup + drain sweeps only)
     reap_interval: float = 0.0
     #: directory receiving the drain checkpoint (``None`` = queued jobs
     #: are shed without persistence on drain)
@@ -207,7 +207,7 @@ class Broker:
             self._loop.create_task(self._dispatch(i), name=f"serve-dispatch-{i}")
             for i in range(self.config.workers)
         ]
-        if self.config.reap_interval > 0:
+        if self.config.reap_interval > 0 and self.config.checkpoint_root:
             self._reap_task = self._loop.create_task(
                 self._reap_loop(), name="serve-reap"
             )

@@ -364,9 +364,11 @@ class TestHousekeeping:
         stats = asyncio.run(main())
         assert stats["counters"]["serve.reap_sweeps"] >= 1
 
-    def test_periodic_reap_timer_fires(self):
+    def test_periodic_reap_timer_fires(self, tmp_path):
         async def main():
-            broker = await _started(workers=1, reap_interval=0.02)
+            broker = await _started(
+                workers=1, reap_interval=0.02, checkpoint_root=str(tmp_path)
+            )
             await asyncio.sleep(0.1)
             stats = broker.stats()
             await broker.drain()
@@ -374,6 +376,20 @@ class TestHousekeeping:
 
         stats = asyncio.run(main())
         assert stats["counters"]["serve.reap_sweeps"] >= 3
+
+    def test_no_periodic_reap_without_checkpoint_root(self):
+        """With nothing to sweep, ``reap_interval`` starts no timer."""
+
+        async def main():
+            broker = await _started(workers=1, reap_interval=0.02)
+            at_start = broker.stats()["counters"]["serve.reap_sweeps"]
+            await asyncio.sleep(0.1)
+            before_drain = broker.stats()["counters"]["serve.reap_sweeps"]
+            await broker.drain()
+            return at_start, before_drain
+
+        at_start, before_drain = asyncio.run(main())
+        assert at_start == before_drain == 1
 
     def test_submit_before_start_rejected(self):
         async def main():

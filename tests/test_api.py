@@ -41,6 +41,23 @@ class TestPublicSurface:
         import repro.hierarchy
         import repro.parallel
 
+    def test_import_path_leaves_scipy_out(self):
+        """Only the lsq solver and the power-law root-find import scipy."""
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro, repro.bench.scale, repro.generators.havel_hakimi; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 class TestExampleScripts:
     """Every shipped example must run cleanly end to end."""
