@@ -77,31 +77,6 @@ EXPERIMENTS = {
 }
 
 
-def _reap_dry_run(checkpoint_dir: str | None) -> int:
-    """Print what the startup reap *would* collect, deleting nothing."""
-    entries: list[dict] = []
-    if checkpoint_dir:
-        try:
-            from repro.core.checkpoint import report_stale_checkpoints
-
-            entries.extend(report_stale_checkpoints(checkpoint_dir))
-        except Exception as exc:
-            print(f"checkpoint sweep failed: {exc}", file=sys.stderr)
-    if not entries:
-        print("nothing stale: a reap would delete 0 artifacts")
-        return 0
-    total = sum(int(e.get("bytes", 0)) for e in entries)
-    print(f"a reap would delete {len(entries)} artifact(s), {total} bytes:")
-    for e in entries:
-        age = e.get("age_seconds")
-        age_s = f"{float(age):.0f}s" if age is not None else "?"
-        print(
-            f"  {e.get('kind', '?'):10s} pid={e.get('pid', '?'):<8} "
-            f"age={age_s:<8} bytes={e.get('bytes', 0):<12} {e.get('path')}"
-        )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -138,36 +113,9 @@ def main(argv: list[str] | None = None) -> int:
         help="sample mixing diagnostics every K permutation rounds in the "
         "'observe' experiment (default 2; 0 disables)",
     )
-    parser.add_argument(
-        "--reap-dry-run",
-        action="store_true",
-        help="report the stale checkpoint artifacts under --checkpoint-dir "
-        "(dead writers' tmp files, finished runs' stores) the startup reap "
-        "would collect — paths, owner pids, ages, sizes — then exit "
-        "without deleting anything or running experiments",
-    )
     args = parser.parse_args(argv)
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
-
-    if args.reap_dry_run:
-        return _reap_dry_run(args.checkpoint_dir)
-
-    # collect dead writers' checkpoint tmp files and finished runs'
-    # stores — but never while resuming, when a finished store is exactly
-    # what the short-circuit path wants
-    if args.checkpoint_dir and not args.resume:
-        try:
-            from repro.core.checkpoint import reap_stale_checkpoints
-
-            reaped = reap_stale_checkpoints(args.checkpoint_dir)
-            if reaped:
-                print(
-                    f"reaped {len(reaped)} stale checkpoint artifact(s)",
-                    file=sys.stderr,
-                )
-        except Exception:
-            pass
 
     if args.list:
         for name, fn in EXPERIMENTS.items():

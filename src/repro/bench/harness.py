@@ -5,8 +5,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.generate import generate_graph
 from repro.core.swap import SwapStats, swap_edges
 from repro.generators.bernoulli import bernoulli_chung_lu
@@ -23,7 +21,6 @@ __all__ = [
     "GENERATORS",
     "generate_with_method",
     "uniform_reference",
-    "compare_backends",
     "suite_benchmark",
 ]
 
@@ -127,53 +124,6 @@ def uniform_reference(
 ) -> EdgeList:
     """The paper's uniform sample: Havel–Hakimi + many swap iterations."""
     return swap_edges(havel_hakimi_graph(dist), swap_iterations, config)
-
-
-def compare_backends(
-    graph: EdgeList,
-    iterations: int,
-    *,
-    threads: int = 4,
-    seed: int = 0,
-    backends: tuple[str, ...] = ("serial", "vectorized"),
-    space: str = "simple",
-) -> ExperimentResult:
-    """Run :func:`swap_edges` under each backend and tabulate the results.
-
-    All backends see the same seed, so degree sequences and (by the
-    TestAndSet membership-semantics argument in ``docs/parallel-model.md``)
-    the output graphs themselves are identical — what differs is
-    wall-clock and the contention accounting.  ``series["seconds"]``
-    carries the per-backend seconds.
-    """
-    result = ExperimentResult(
-        name="backend-comparison",
-        description=f"m={graph.m} edges, {iterations} iterations, p={threads}",
-        columns=["backend", "seconds", "accept_rate", "swapped_frac",
-                 "table_attempts", "table_failures"],
-    )
-    seconds: dict[str, float] = {}
-    reference_keys = None
-    for backend in backends:
-        config = ParallelConfig(threads=threads, backend=backend, seed=seed)
-        stats = SwapStats()
-        with Timer() as t:
-            out = swap_edges(graph, iterations, config, stats=stats, space=space)
-        seconds[backend] = t.seconds
-        result.add(backend, t.seconds, stats.acceptance_rate,
-                   stats.swapped_fraction, stats.table_attempts,
-                   stats.table_failures)
-        from repro.parallel.hashtable import pack_edges
-
-        keys = np.sort(pack_edges(out.u, out.v))
-        if reference_keys is None:
-            reference_keys = keys
-        elif not np.array_equal(keys, reference_keys):
-            raise AssertionError(
-                f"backend {backend!r} diverged from {backends[0]!r}"
-            )
-    result.series["seconds"] = seconds
-    return result
 
 
 #: the BENCH_suite.json layout version (bump on breaking payload changes)

@@ -9,7 +9,6 @@ from repro.core.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
     CheckpointStore,
-    reap_stale_checkpoints,
     run_fingerprint,
 )
 from repro.core.mixing import (
@@ -43,7 +42,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatchError",
     "CheckpointStore",
-    "reap_stale_checkpoints",
     "run_fingerprint",
     "l1_probability_error",
     "average_attachment_matrix",

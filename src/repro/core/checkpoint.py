@@ -21,21 +21,20 @@ Snapshots are taken only at *reconstructible* boundaries:
 
 Crash consistency is the tmp-file + ``os.replace`` discipline used by
 write-ahead logs everywhere: each array is streamed to its own
-pid-stamped temporary, fsynced, renamed; only then is the versioned JSON
-manifest (run fingerprint, phase, swap-round cursor, per-array length
-and SHA-256) written the same way.  A reader accepts a snapshot only if
-its manifest parses, its format version matches, and every payload
-file's length and checksum verify — a snapshot truncated at *any* byte
-is detected and the previous snapshot is used instead (the store
-retains the last few).
+temporary, fsynced, renamed; only then is the versioned JSON manifest
+(run fingerprint, phase, swap-round cursor, per-array length and
+SHA-256) written the same way.  A reader accepts a snapshot only if its
+manifest parses, its format version matches, and every payload file's
+length and checksum verify — a snapshot truncated at *any* byte is
+detected and the previous snapshot is used instead (the store retains
+the last few).
 
 Temporaries keep a name because they are renamed into durable
-snapshots, so a killed writer can leave one behind.  Stale artifacts are
-therefore pid-stamped: temporaries name their writer's pid and are
-removed once that pid is gone, and stores whose run reached ``done``
-under a now-dead owner are reaped wholesale by
-:func:`reap_stale_checkpoints` (wired into the bench CLI and the
-serving broker).
+snapshots, so a writer killed mid-save leaves one behind.  A store has
+one writer, so once a save is durable every other temporary in it is
+such a leftover: each save removes them along with the snapshots beyond
+the newest ``keep``.  Nothing sweeps stores from outside; a finished
+run's store stays until its owner deletes it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import json
 import logging
 import os
 import secrets
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,8 +58,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointStore",
     "run_fingerprint",
-    "reap_stale_checkpoints",
-    "report_stale_checkpoints",
 ]
 
 logger = logging.getLogger(__name__)
@@ -143,8 +139,8 @@ def _fsync_dir(path: str) -> None:
 
 
 def _tmp_name(directory: Path, suffix: str) -> Path:
-    """A pid-stamped temporary path (``.tmp-<pid>-<hex><suffix>``)."""
-    return directory / f".tmp-{os.getpid()}-{secrets.token_hex(4)}{suffix}"
+    """A fresh temporary path (``.tmp-<hex><suffix>``)."""
+    return directory / f".tmp-{secrets.token_hex(4)}{suffix}"
 
 
 def _atomic_write(directory: Path, final: Path, data: bytes) -> None:
@@ -175,7 +171,8 @@ class CheckpointStore:
     run costs no resident memory.  :meth:`save` is atomic — a crash at
     any byte leaves either the previous snapshot set or a complete new
     one, never a half-readable state — and prunes all but the newest
-    ``keep`` snapshots.  :meth:`load_latest` walks snapshots newest
+    ``keep`` snapshots, along with any temporary that a writer killed
+    mid-save left behind.  :meth:`load_latest` walks snapshots newest
     first, skipping any whose manifest or payload fails validation, so a
     torn write transparently falls back to the previous snapshot.
     Snapshots in the retired npz layout (no ``arrays`` manifest entry)
@@ -184,9 +181,9 @@ class CheckpointStore:
     Parameters
     ----------
     directory:
-        Snapshot directory (created on first use).  One run per
-        directory; reusing a directory across *different* runs is caught
-        by the fingerprint check at resume time.
+        Snapshot directory (created on first use).  One run and one
+        writer per directory; reusing a directory across *different*
+        runs is caught by the fingerprint check at resume time.
     keep:
         Number of most-recent snapshots retained (≥ 2 so the
         corruption fallback always has somewhere to land).
@@ -249,7 +246,6 @@ class CheckpointStore:
         manifest = {
             "version": FORMAT_VERSION,
             "seq": seq,
-            "pid": os.getpid(),
             "phase": phase,
             "swap_round": int(swap_round),
             "fingerprint": fingerprint,
@@ -304,42 +300,49 @@ class CheckpointStore:
         return digest.hexdigest()
 
     def _prune(self) -> None:
-        """Drop all but the newest ``keep`` snapshots (best-effort)."""
-        seqs = sorted((s for s, _ in self._manifests()), reverse=True)
-        for seq in seqs[self._keep :]:
-            for target in self._snapshot_paths(seq):
-                try:
-                    os.unlink(target)
-                except OSError:  # pragma: no cover - racing reaper
-                    pass
+        """Drop all but the newest ``keep`` snapshots, and every temporary.
 
-    def _snapshot_paths(self, seq: int) -> list[Path]:
-        """Every on-disk file belonging to snapshot ``seq``.
-
-        Covers the manifest and its per-array payload files
-        (``snap-<seq>-<name>.raw``).
+        Runs once a save is durable.  A store has one writer, so a
+        ``.tmp-`` file present then was left by a writer killed mid-save
+        and will never be renamed into place.  Best-effort.
         """
-        stem = f"snap-{seq:08d}"
-        try:
-            names = os.listdir(self._dir)
-        except OSError:  # pragma: no cover - racing removal
-            return []
-        return [
-            self._dir / fn
-            for fn in names
-            if fn.startswith(stem + ".") or fn.startswith(stem + "-")
-        ]
+        seqs = sorted((s for s, _ in self._manifests()), reverse=True)
+        names = self._names()
+        self._unlink(
+            [fn for fn in names if fn.startswith(".tmp-")]
+            + self._snapshot_files(names, seqs[self._keep :])
+        )
+
+    @staticmethod
+    def _snapshot_files(names: list[str], seqs) -> list[str]:
+        """The file names in ``names`` belonging to the snapshots ``seqs``.
+
+        Covers each manifest (``snap-<seq>.json``) and its per-array
+        payload files (``snap-<seq>-<name>.raw``).
+        """
+        stems = tuple(f"snap-{seq:08d}{sep}" for seq in seqs for sep in ".-")
+        return [fn for fn in names if fn.startswith(stems)]
+
+    def _unlink(self, names: list[str]) -> None:
+        for fn in names:
+            try:
+                os.unlink(self._dir / fn)
+            except OSError:  # pragma: no cover - removed meanwhile
+                pass
 
     # -- read ------------------------------------------------------------
+
+    def _names(self) -> list[str]:
+        """Every file name in the store (none before the first save)."""
+        try:
+            return os.listdir(self._dir)
+        except OSError:
+            return []
 
     def _manifests(self) -> list[tuple[int, Path]]:
         """``(seq, path)`` of every manifest file, unvalidated."""
         out = []
-        try:
-            names = os.listdir(self._dir)
-        except OSError:
-            return []
-        for fn in names:
+        for fn in self._names():
             if fn.startswith("snap-") and fn.endswith(".json"):
                 try:
                     out.append((int(fn[5:-5]), self._dir / fn))
@@ -501,12 +504,8 @@ class CheckpointStore:
 
     def clear(self) -> None:
         """Remove every snapshot file in the store (the directory stays)."""
-        for seq, _ in self._manifests():
-            for target in self._snapshot_paths(seq):
-                try:
-                    os.unlink(target)
-                except OSError:  # pragma: no cover
-                    pass
+        seqs = [s for s, _ in self._manifests()]
+        self._unlink(self._snapshot_files(self._names(), seqs))
         self._seq = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -518,130 +517,3 @@ def as_store(source) -> CheckpointStore | None:
     if source is None or isinstance(source, CheckpointStore):
         return source
     return CheckpointStore(source)
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether a process with this pid currently exists."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, owned by another user
-        return True
-    return True
-
-
-def _stale_entry(path, pid: int, now: float) -> dict | None:
-    """One stale-artifact report entry; ``None`` if the path is gone."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return {
-        "path": str(path),
-        "pid": pid,
-        "bytes": int(st.st_size),
-        "age_seconds": max(0.0, now - st.st_mtime),
-        "kind": "checkpoint",
-    }
-
-
-def _unlink_reported(entries: list[dict]) -> list[str]:
-    """Unlink every reported path; returns the ones actually removed."""
-    removed: list[str] = []
-    for entry in entries:
-        try:
-            os.unlink(entry["path"])
-        except OSError:  # racing reaper
-            continue
-        removed.append(entry["path"])
-    return removed
-
-
-def report_stale_checkpoints(root) -> list[dict]:
-    """Checkpoint artifacts whose owning run is over; removes nothing.
-
-    Sweeps the checkpoint tree rooted at ``root`` (a store directory or
-    a directory of store directories) for pid-stamped artifacts:
-
-    1. **temporaries** — ``.tmp-<pid>-*`` files whose writer pid is dead
-       are half-written snapshots that will never be renamed;
-    2. **finished runs** — every snapshot file of a store whose newest
-       valid snapshot is ``done`` and was stamped by a now-dead pid.
-
-    Live runs are never listed: an alive stamped pid, or any phase
-    short of ``done``, keeps the store intact — that is precisely the
-    state a crashed run resumes from.  Returns one dict per artifact —
-    ``{"path", "pid", "bytes", "age_seconds", "kind"}``;
-    :func:`reap_stale_checkpoints` removes exactly these paths, and the
-    bench CLI's ``--reap-dry-run`` prints them.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        return []
-    now = time.time()
-    report: list[dict] = []
-
-    def add(path, pid: int) -> None:
-        entry = _stale_entry(path, pid, now)
-        if entry is not None:
-            report.append(entry)
-
-    dirs = [root] + [p for p in root.iterdir() if p.is_dir()]
-    for d in dirs:
-        try:
-            names = sorted(os.listdir(d))
-        except OSError:  # pragma: no cover - racing removal
-            continue
-        for fn in names:
-            if not fn.startswith(".tmp-"):
-                continue
-            parts = fn.split("-")
-            try:
-                pid = int(parts[1])
-            except (IndexError, ValueError):
-                continue
-            if not _pid_alive(pid):
-                add(d / fn, pid)
-        store = CheckpointStore(d)
-        manifests = store._manifests()
-        if not manifests:
-            continue
-        newest = None
-        for seq, path in sorted(manifests, reverse=True):
-            newest = store._decode(seq, path)
-            if newest is not None:
-                break
-        if newest is None or newest.phase != "done":
-            continue
-        try:
-            with open(d / f"snap-{newest.seq:08d}.json", "rb") as fh:
-                pid = int(json.load(fh).get("pid", -1))
-        except (OSError, ValueError, TypeError):  # pragma: no cover
-            continue
-        if _pid_alive(pid):
-            continue
-        for seq, _ in manifests:
-            for target in store._snapshot_paths(seq):
-                add(target, pid)
-    return report
-
-
-def reap_stale_checkpoints(root) -> list[str]:
-    """Remove the artifacts :func:`report_stale_checkpoints` lists.
-
-    Returns the paths actually removed.  A finished store's directory
-    below ``root`` is removed too once it is empty.  Wired into the
-    bench CLI and the serving broker.
-    """
-    root = Path(root)
-    removed = _unlink_reported(report_stale_checkpoints(root))
-    for d in {Path(p).parent for p in removed if Path(p).name.startswith("snap-")}:
-        if d != root:
-            try:
-                d.rmdir()
-            except OSError:  # pragma: no cover - leftover foreign files
-                pass
-    return removed

@@ -363,7 +363,9 @@ def _generate(
             cost=cost,
             callback=callback,
             mixing_every=mixing_every,
-            checkpoint_dir=store,
+            # mid-swap snapshots need a cadence; the phase snapshots
+            # around the swap go to the store either way
+            checkpoint_dir=store if checkpoint_every else None,
             checkpoint_every=checkpoint_every,
             _fingerprint=fingerprint or None,
             # mid-swap snapshots bank cumulative spend: the prior runs'

@@ -341,7 +341,7 @@ class _SwapCheckpointer:
                  *, timing_base: dict | None = None, verify: str = "off",
                  n_vertices: int = 0, degrees=None) -> None:
         self.store = store
-        self.every = max(int(every), 0)
+        self.every = int(every)
         self.fingerprint = fingerprint
         self.total = int(total)
         self.timing_base = {k: float(s) for k, s in (timing_base or {}).items()}
@@ -365,8 +365,6 @@ class _SwapCheckpointer:
         run short-circuits; intermediate rounds follow ``every``.
         """
         done = it + 1
-        if not self.every:
-            return
         if done % self.every and done != self.total:
             return
         if self.verify != "off":
@@ -493,6 +491,8 @@ def swap_edges(
         raise ValueError("checkpoint_every must be >= 0")
     if checkpoint_every and checkpoint_dir is None:
         raise ValueError("checkpoint_every requires checkpoint_dir")
+    if checkpoint_dir is not None and not checkpoint_every:
+        raise ValueError("checkpoint_dir requires checkpoint_every > 0")
     store = as_store(checkpoint_dir) if checkpoint_dir is not None else None
     # the degree sequence every swap preserves: the checkpointer validates
     # each snapshot against it and the loop the final output
@@ -510,7 +510,7 @@ def swap_edges(
         )
         if resume_from is not None:
             resume_state = _load_swap_resume(resume_from, fingerprint, m)
-        if store is not None and checkpoint_every:
+        if store is not None:
             # snapshots persist cumulative timings: the caller's base
             # (generate_graph threads earlier phases + any resumed prior
             # through ``_timing_base``) or, standalone, whatever the

@@ -31,9 +31,9 @@ Failure model
   yields :class:`RetriesExhaustedError` carrying the last error.
 - **Drain** (SIGTERM or :meth:`Broker.drain`) stops admitting, finishes
   in-flight jobs, persists still-queued specs to
-  ``drain_dir/pending-jobs.json`` (atomic write), reaps stale
-  checkpoint artifacts, and resolves abandoned waiters with typed
-  errors.  A restarted broker resubmits the persisted specs.
+  ``drain_dir/pending-jobs.json`` (atomic write), and resolves abandoned
+  waiters with typed errors.  A restarted broker resubmits the persisted
+  specs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import reap_stale_checkpoints
 from repro.core.generate import generate_graph
 from repro.core.swap import swap_edges
 from repro.graph.edgelist import EdgeList
@@ -79,9 +78,9 @@ PENDING_JOBS_FILE = "pending-jobs.json"
 
 #: attempt errors worth retrying: the OS took away disk space / file
 #: descriptors, an allocation failed, or a verification tier detected
-#: corruption the pipeline's own checkpoint replay could not absorb —
-#: all plausibly transient on a loaded host, and a clean re-run *is* the
-#: repair for detected corruption (every run reproduces the same bits).
+#: corruption — all plausibly transient on a loaded host, and a clean
+#: re-run *is* the repair for detected corruption (every run reproduces
+#: the same bits).
 #: Admission and deadline errors are never retried.
 RETRYABLE = (OSError, MemoryError, IntegrityError)
 
@@ -110,16 +109,9 @@ class ServeConfig:
     #: result-cache bounds
     cache_entries: int = 128
     cache_bytes: int = 256 << 20
-    #: periodic sweep cadence in seconds over ``checkpoint_root`` (0, or
-    #: no ``checkpoint_root``, = startup + drain sweeps only)
-    reap_interval: float = 0.0
     #: directory receiving the drain checkpoint (``None`` = queued jobs
     #: are shed without persistence on drain)
     drain_dir: str | None = None
-    #: per-fingerprint checkpoint stores for generate jobs (``None`` =
-    #: no mid-run durability); a resubmitted job resumes its own store
-    checkpoint_root: str | None = None
-    checkpoint_every: int = 0
     #: test hook replacing the pipeline call: ``run_fn(job, config)``
     #: returning an :class:`EdgeList` or ``(EdgeList, stats_dict)``
     run_fn: object = None
@@ -180,14 +172,13 @@ class Broker:
         self._drained: asyncio.Event | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._dispatchers: list[asyncio.Task] = []
-        self._reap_task: asyncio.Task | None = None
         self._warm_tasks: list[asyncio.Task] = []
         self._signals: list[int] = []
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind to the running loop, sweep stale artifacts, resume drains."""
+        """Bind to the running loop, start dispatchers, resume drains."""
         if self._started:
             raise RuntimeError("broker already started")
         self._loop = asyncio.get_running_loop()
@@ -201,16 +192,10 @@ class Broker:
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-serve"
         )
-        swept = self._reap()
-        self._event("serve.reap", startup=True, **swept)
         self._dispatchers = [
             self._loop.create_task(self._dispatch(i), name=f"serve-dispatch-{i}")
             for i in range(self.config.workers)
         ]
-        if self.config.reap_interval > 0 and self.config.checkpoint_root:
-            self._reap_task = self._loop.create_task(
-                self._reap_loop(), name="serve-reap"
-            )
         self._started = True
         self._resume_pending()
 
@@ -265,10 +250,6 @@ class Broker:
             self._cond.notify_all()
         for task in self._dispatchers:
             await task
-        if self._reap_task is not None:
-            self._reap_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._reap_task
         for task in self._warm_tasks:
             if not task.done():
                 await asyncio.wait({task})
@@ -277,17 +258,13 @@ class Broker:
             with contextlib.suppress(ValueError, RuntimeError):
                 self._loop.remove_signal_handler(sig)
         self._signals.clear()
-        swept = self._reap()
         self._drain_summary = {
             "drained_seconds": time.monotonic() - t0,
             "checkpointed_jobs": len(pending) if checkpointed else 0,
             "shed_jobs": 0 if checkpointed else len(pending),
             "completed_runs": self._runs,
-            "reaped": swept,
         }
-        self._event("serve.drain_end", **{
-            k: v for k, v in self._drain_summary.items() if k != "reaped"
-        })
+        self._event("serve.drain_end", **self._drain_summary)
         self._drained.set()
         return self._drain_summary
 
@@ -494,7 +471,6 @@ class Broker:
                     self._resolve_error(inf, exc)
                     return
                 run_seconds = time.monotonic() - t0
-                degraded = bool(stats.get("degraded"))
                 stats.update(
                     attempts=inf.attempts,
                     run_seconds=run_seconds,
@@ -509,10 +485,7 @@ class Broker:
                         u=graph.u, v=graph.v, n=graph.n, stats=stats,
                     )
                 )
-                self._job_span(
-                    inf, outcome="ok", degraded=degraded,
-                    edges=int(cached.graph().m),
-                )
+                self._job_span(inf, outcome="ok", edges=int(cached.graph().m))
                 self._inflight.pop(job.fingerprint, None)
                 if not inf.future.done():
                     inf.future.set_result(cached)
@@ -534,33 +507,13 @@ class Broker:
                     return graph, dict(stats)
                 return out, {"edges": int(out.m)}
             if job.kind == "generate":
-                ckpt_dir, resume = self._checkpoint_paths(job)
-                graph, report = generate_graph(
-                    job.dist,
-                    swap_iterations=job.spec.swap_iterations,
+                out, _ = generate_graph(
+                    job.dist, swap_iterations=job.spec.swap_iterations,
                     config=cfg,
-                    checkpoint_dir=ckpt_dir,
-                    checkpoint_every=(
-                        self.config.checkpoint_every if ckpt_dir else 0
-                    ),
-                    resume_from=resume,
                 )
-                return graph, {
-                    "edges": int(graph.m),
-                    "degraded": bool(report.degraded),
-                    "resumed": bool(report.resumed),
-                }
-            out = swap_edges(job.graph, job.spec.swap_iterations, cfg)
+            else:
+                out = swap_edges(job.graph, job.spec.swap_iterations, cfg)
             return out, {"edges": int(out.m)}
-
-    def _checkpoint_paths(self, job: Job):
-        """Per-fingerprint checkpoint store dir (+ resume source if present)."""
-        root = self.config.checkpoint_root
-        if not root or job.kind != "generate":
-            return None, None
-        store_dir = Path(root) / job.fingerprint[:16]
-        resume = store_dir if store_dir.is_dir() and any(store_dir.iterdir()) else None
-        return store_dir, resume
 
     # -- drain persistence -------------------------------------------------
 
@@ -609,26 +562,6 @@ class Broker:
         """Run a resumed spec to completion; its result lands in the cache."""
         with contextlib.suppress(Exception):
             await self.submit(spec)
-
-    # -- stale-artifact reaping (long-lived server hygiene) ----------------
-
-    def _reap(self) -> dict:
-        """One sweep of the checkpoint stores under ``checkpoint_root``."""
-        reaped = 0
-        if self.config.checkpoint_root:
-            with contextlib.suppress(OSError):
-                reaped = len(reap_stale_checkpoints(self.config.checkpoint_root))
-        self._count("serve.reap_sweeps")
-        if reaped:
-            self._count("serve.reaped_artifacts", reaped)
-        return {"checkpoints": reaped}
-
-    async def _reap_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.reap_interval)
-            swept = self._reap()
-            if swept["checkpoints"]:
-                self._event("serve.reap", startup=False, **swept)
 
     # -- bookkeeping helpers (loop thread only) ----------------------------
 

@@ -28,12 +28,11 @@ The admitted :class:`Job` carries the run's **content-addressed
 fingerprint**: for generate jobs this is exactly
 :func:`~repro.core.generate.generation_fingerprint` — the digest the
 checkpoint subsystem stamps into snapshots — so the broker's result
-cache, single-flight table, and on-disk checkpoint stores all key the
-same identity: under the broker's fixed backend, two requests share a
-fingerprint precisely when their uninterrupted runs would be
-bitwise-identical.  (The digest deliberately excludes the backend,
-matching the checkpoint-resume semantic; a broker runs every job on its
-one configured backend.)
+cache and single-flight table key the same identity: under the broker's
+fixed backend, two requests share a fingerprint precisely when their
+uninterrupted runs would be bitwise-identical.  (The digest deliberately
+excludes the backend, matching the checkpoint-resume semantic; a broker
+runs every job on its one configured backend.)
 """
 
 from __future__ import annotations
@@ -230,7 +229,7 @@ class JobResult:
     attempts: int = 1
     #: end-to-end seconds this caller waited
     total_seconds: float = 0.0
-    #: producing run's stats (edges, run_seconds, degraded, …)
+    #: producing run's stats (edges, attempts, run_seconds, kind)
     run: dict = field(default_factory=dict)
 
 

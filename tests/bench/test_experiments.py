@@ -202,3 +202,12 @@ class TestDurable:
 
         with pytest.raises(SystemExit):
             main(["durable", "--resume"])
+
+    def test_cli_has_no_reap_dry_run(self, capsys):
+        """Stores remove their own leftovers: there is no stale-artifact
+        report to print."""
+        from repro.bench.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["--reap-dry-run"])
+        assert "unrecognized arguments: --reap-dry-run" in capsys.readouterr().err

@@ -10,7 +10,10 @@ The durability tentpole's invariants:
 - the parent-SIGKILL drill (a driver subprocess that wraps
   ``CheckpointStore.save`` and kills itself after a chosen durable
   write) proves the whole story end to end;
-- stale-checkpoint GC never touches a live or resumable store.
+- a store cleans up after itself: the torn-write drill (the driver
+  killed halfway through a payload write) resumes bit for bit, and the
+  resumed run's saves leave no temporary and no more than ``keep``
+  snapshots behind.
 """
 
 import dataclasses
@@ -29,8 +32,6 @@ from repro.core.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
     CheckpointStore,
-    reap_stale_checkpoints,
-    report_stale_checkpoints,
     run_fingerprint,
 )
 from repro.core.generate import generate_graph
@@ -145,6 +146,19 @@ class TestCheckpointStore:
         for _ in range(3):
             store.save("swap", arrays={"u": np.arange(10)})
         assert not [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
+
+    def test_save_removes_killed_writers_tmp_files(self, tmp_path):
+        """A store has one writer, so once a save is durable every other
+        temporary was left by a writer killed mid-save."""
+        store = CheckpointStore(tmp_path)
+        store.save("swap", swap_round=1, arrays={"u": np.arange(10)})
+        (tmp_path / ".tmp-0badc0de.raw").write_bytes(b"half")
+        (tmp_path / ".tmp-0badc0de.json").write_bytes(b"{")
+        store.save("swap", swap_round=2, arrays={"u": np.arange(10)})
+        assert sorted(os.listdir(tmp_path)) == [
+            "snap-00000000-u.raw", "snap-00000000.json",
+            "snap-00000001-u.raw", "snap-00000001.json",
+        ]
 
     def test_unwritable_directory_raises_checkpoint_error(self, tmp_path):
         if os.geteuid() == 0:
@@ -263,9 +277,14 @@ class TestSwapResume:
                 g, 4, ParallelConfig(seed=99, threads=2), resume_from=tmp_path
             )
 
-    def test_checkpoint_every_requires_dir(self):
-        with pytest.raises(ValueError, match="checkpoint_dir"):
+    def test_checkpoint_every_requires_dir(self, tmp_path):
+        with pytest.raises(ValueError, match="requires checkpoint_dir"):
             swap_edges(_graph(), 2, ParallelConfig(seed=1), checkpoint_every=2)
+        # the converse: a directory without a cadence would stay empty
+        with pytest.raises(ValueError, match="requires checkpoint_every"):
+            swap_edges(_graph(), 2, ParallelConfig(seed=1),
+                       checkpoint_dir=tmp_path)
+        assert os.listdir(tmp_path) == []
 
     def test_empty_store_resume_starts_fresh(self, tmp_path):
         g = _graph(seed=8)
@@ -420,6 +439,11 @@ DRILL_SCRIPT = textwrap.dedent(
 )
 
 
+#: the drill driver, killed halfway through its (N+1)-th payload write
+#: instead of right after a save
+TORN_WRITE_SCRIPT = DRILL_SCRIPT.replace("kill_after_save", "tear_write_and_die")
+
+
 class TestParentKillDrill:
     """SIGKILL the driver mid-swap; the resumed run must match bit for bit."""
 
@@ -474,55 +498,43 @@ class TestParentKillDrill:
         assert (tmp_path / "out.npz").exists()
 
 
-class TestReapStaleCheckpoints:
-    def test_dead_tmp_removed_live_tmp_kept(self, tmp_path):
-        dead = tmp_path / f".tmp-999999999-aa.npz"
-        dead.write_bytes(b"half")
-        live = tmp_path / f".tmp-{os.getpid()}-bb.npz"
-        live.write_bytes(b"half")
-        removed = reap_stale_checkpoints(tmp_path)
-        assert str(dead) in removed
-        assert not dead.exists() and live.exists()
+class TestTornWriteDrill:
+    """SIGKILL the driver halfway through a payload write.
 
-    def test_done_store_of_dead_pid_reaped(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run")
-        store.save("done", arrays={"u": np.arange(3)})
-        manifest_path = tmp_path / "run" / "snap-00000000.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["pid"] = 999999999
-        manifest_path.write_text(json.dumps(manifest))
-        removed = reap_stale_checkpoints(tmp_path)
-        assert removed and not (tmp_path / "run").exists()
+    The kill leaves a torn ``.tmp-`` payload and, beside it, the payload
+    renamed into place just before it, whose manifest was never written.
+    The resumed run must match bit for bit, and its saves must leave
+    neither behind.
+    """
 
-    def test_reap_returns_exactly_what_dry_run_lists(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run")
-        store.save("done", arrays={"u": np.arange(3)})
-        manifest_path = tmp_path / "run" / "snap-00000000.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["pid"] = 999999999
-        manifest_path.write_text(json.dumps(manifest))
-        (tmp_path / ".tmp-999999999-aa.npz").write_bytes(b"half")
-        listed = sorted(e["path"] for e in report_stale_checkpoints(tmp_path))
-        assert len(listed) == 3
-        assert sorted(reap_stale_checkpoints(tmp_path)) == listed
-        assert not (tmp_path / "run").exists()
+    def _run(self, tmp_path, backend, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]))
+        return subprocess.run(
+            [sys.executable, "-c", TORN_WRITE_SCRIPT, backend,
+             str(tmp_path / "store"), str(tmp_path / "out.npz"), *argv],
+            env=env, capture_output=True, timeout=120,
+        )
 
-    def test_done_store_of_live_pid_kept(self, tmp_path):
-        store = CheckpointStore(tmp_path / "run")
-        store.save("done")  # stamped with this (live) pid
-        assert reap_stale_checkpoints(tmp_path) == []
-        assert store.load_latest() is not None
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_resume_after_torn_write_leaves_clean_store(self, tmp_path, backend):
+        g = _graph()
+        ref = swap_edges(g, 6, ParallelConfig(seed=42, threads=2, backend=backend))
+        store = tmp_path / "store"
+        # three payloads per swap save: the 8th write is seq 2's ``v``
+        first = self._run(tmp_path, backend, "7")
+        assert first.returncode == -signal.SIGKILL, first.stderr.decode()
+        left = os.listdir(store)
+        assert [f for f in left if f.startswith(".tmp-")], left
+        assert "snap-00000002-u.raw" in left and "snap-00000002.json" not in left
 
-    def test_mid_swap_store_of_dead_pid_kept(self, tmp_path):
-        """A crashed run's store is the resume source — never reaped."""
-        store = CheckpointStore(tmp_path / "run")
-        store.save("swap", swap_round=3, arrays={"u": np.arange(3)})
-        manifest_path = tmp_path / "run" / "snap-00000000.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["pid"] = 999999999
-        manifest_path.write_text(json.dumps(manifest))
-        assert reap_stale_checkpoints(tmp_path) == []
-        assert store.load_latest().swap_round == 3
-
-    def test_missing_root_is_noop(self, tmp_path):
-        assert reap_stale_checkpoints(tmp_path / "nope") == []
+        second = self._run(tmp_path, backend)
+        assert second.returncode == 0, second.stderr.decode()
+        with np.load(tmp_path / "out.npz") as data:
+            np.testing.assert_array_equal(data["u"], ref.u)
+            np.testing.assert_array_equal(data["v"], ref.v)
+        names = os.listdir(store)
+        assert not [f for f in names if f.startswith(".tmp-")], names
+        manifests = {f[:-5] for f in names if f.endswith(".json")}
+        assert len(manifests) <= 3  # the store's default ``keep``
+        # every payload belongs to a retained snapshot
+        assert {f.rsplit("-", 1)[0] for f in names if f.endswith(".raw")} <= manifests

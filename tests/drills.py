@@ -10,7 +10,9 @@ call time, so everything it does not replace runs unchanged.
 import os
 import signal
 
-from repro.core.checkpoint import CheckpointStore
+import numpy as np
+
+from repro.core.checkpoint import CheckpointStore, _tmp_name
 
 
 def flip_bit(arr) -> None:
@@ -74,3 +76,28 @@ def kill_after_save(n: int) -> None:
         return seq
 
     CheckpointStore.save = save_then_die
+
+
+def tear_write_and_die(n: int) -> None:
+    """SIGKILL this process halfway through its ``n + 1``-th payload write.
+
+    The wrapped ``CheckpointStore._write_raw`` leaves what a writer killed
+    mid-write leaves: a temporary holding the first half of the payload,
+    never renamed into place.  For drill driver processes only, like
+    :func:`kill_after_save`.
+    """
+    write_raw = CheckpointStore._write_raw
+    done = [0]
+
+    def write_half_then_die(self, final, arr):
+        if done[0] < n:
+            done[0] += 1
+            return write_raw(self, final, arr)
+        data = memoryview(np.ascontiguousarray(arr)).cast("B")
+        with open(_tmp_name(self.directory, final.suffix), "wb") as fh:
+            fh.write(data[: len(data) // 2])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    CheckpointStore._write_raw = write_half_then_die

@@ -354,42 +354,14 @@ class TestDrain:
 
 
 class TestHousekeeping:
-    def test_startup_reap_counts(self):
-        async def main():
-            broker = await _started(workers=1)
-            stats = broker.stats()
-            await broker.drain()
-            return stats
-
-        stats = asyncio.run(main())
-        assert stats["counters"]["serve.reap_sweeps"] >= 1
-
-    def test_periodic_reap_timer_fires(self, tmp_path):
-        async def main():
-            broker = await _started(
-                workers=1, reap_interval=0.02, checkpoint_root=str(tmp_path)
-            )
-            await asyncio.sleep(0.1)
-            stats = broker.stats()
-            await broker.drain()
-            return stats
-
-        stats = asyncio.run(main())
-        assert stats["counters"]["serve.reap_sweeps"] >= 3
-
-    def test_no_periodic_reap_without_checkpoint_root(self):
-        """With nothing to sweep, ``reap_interval`` starts no timer."""
-
-        async def main():
-            broker = await _started(workers=1, reap_interval=0.02)
-            at_start = broker.stats()["counters"]["serve.reap_sweeps"]
-            await asyncio.sleep(0.1)
-            before_drain = broker.stats()["counters"]["serve.reap_sweeps"]
-            await broker.drain()
-            return at_start, before_drain
-
-        at_start, before_drain = asyncio.run(main())
-        assert at_start == before_drain == 1
+    @pytest.mark.parametrize(
+        "field", ["checkpoint_root", "checkpoint_every", "reap_interval"]
+    )
+    def test_checkpoint_and_reap_fields_are_gone(self, field):
+        """Generate jobs keep no checkpoint stores, so there is nothing
+        to sweep and no timer to sweep it."""
+        with pytest.raises(TypeError):
+            ServeConfig(**{field: 1})
 
     def test_submit_before_start_rejected(self):
         async def main():
