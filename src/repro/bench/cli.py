@@ -73,7 +73,6 @@ EXPERIMENTS = {
     "mixing": experiments.mixing_experiment,
     "observe": experiments.observe,
     "durable": experiments.durable,
-    "serve": experiments.serve,
 }
 
 

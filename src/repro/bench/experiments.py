@@ -62,7 +62,6 @@ __all__ = [
     "mixing_experiment",
     "observe",
     "durable",
-    "serve",
     "SKEWED_DATASETS",
     "ALL_DATASETS",
 ]
@@ -688,105 +687,6 @@ def observe(
     }
     if trace_path is not None:
         result.series["trace_path"] = str(trace_path)
-    return result
-
-
-def serve(
-    dataset: str = "as20",
-    *,
-    requests: int = 48,
-    concurrency: int = 8,
-    duplicate_every: int = 3,
-    distinct: int = 12,
-    workers: int = 2,
-    threads: int = 4,
-    swap_iterations: int = 1,
-    seed: int = 5,
-    scale: float | None = None,
-) -> ExperimentResult:
-    """Serving broker under load: latency percentiles + coalescing census.
-
-    Drives the :mod:`repro.serve` broker with the load generator
-    (:class:`~repro.serve.client.Runner`): ``requests`` submissions at
-    bounded ``concurrency`` over ``distinct`` distinct generate specs,
-    with every ``duplicate_every``-th request an exact duplicate — so the
-    stream exercises single-flight coalescing and the content-addressed
-    result cache, not just raw pipeline throughput.  ``series["bench"]``
-    carries the machine-readable payload the CLI writes as
-    ``BENCH_serve.json`` (layout ``SERVE_SCHEMA`` = 1)::
-
-        {"benchmark": "serve", "schema": 1, "dataset": d, "workers": w,
-         "threads": p, "load": {requests, completed, p50_ms, p90_ms,
-         p99_ms, throughput_rps, outcomes}, "broker": {runs, cache,
-         counters}, "drain": {...}}
-    """
-    import asyncio
-
-    from repro.serve import Broker, JobSpec, Runner, RunnerConfig, ServeClient, ServeConfig
-
-    dist = SPECS[dataset].synthesize(scale)
-    specs = [
-        JobSpec(
-            degrees=tuple(dist.degrees), counts=tuple(dist.counts),
-            seed=seed + i, swap_iterations=swap_iterations,
-        )
-        for i in range(distinct)
-    ]
-    broker = Broker(ServeConfig(
-        workers=workers,
-        queue_limit=max(64, requests),
-        parallel=ParallelConfig(threads=threads, backend="vectorized", seed=seed),
-    ))
-    runner_cfg = RunnerConfig(
-        requests=requests, concurrency=concurrency,
-        duplicate_every=duplicate_every, seed=seed,
-    )
-
-    async def drive():
-        await broker.start()
-        stats = await Runner(runner_cfg, ServeClient(broker), specs).run()
-        snapshot = broker.stats()
-        summary = await broker.drain()
-        return stats, snapshot, summary
-
-    with Timer() as t:
-        stats, snapshot, summary = asyncio.run(drive())
-
-    load = stats.to_dict()
-    result = ExperimentResult(
-        name="serve",
-        description=f"broker load test ({dataset} twin, {requests} requests)",
-        columns=["metric", "value"],
-    )
-    result.add("requests", load["requests"])
-    result.add("completed", load["completed"])
-    result.add("pipeline_runs", snapshot["runs"])
-    for key in ("p50_ms", "p90_ms", "p99_ms", "throughput_rps"):
-        result.add(key, load.get(key, 0.0))
-    for tag, count in load["outcomes"].items():
-        result.add(f"outcome_{tag}", count)
-    result.add("cache_hits", snapshot["cache"]["hits"])
-    result.series["bench"] = {
-        "benchmark": "serve",
-        "schema": 1,
-        "dataset": dataset,
-        "requests": requests,
-        "concurrency": concurrency,
-        "duplicate_every": duplicate_every,
-        "distinct_specs": distinct,
-        "workers": workers,
-        "threads": threads,
-        "swap_iterations": swap_iterations,
-        "seed": seed,
-        "wall_seconds": round(t.seconds, 6),
-        "load": load,
-        "broker": {
-            "runs": snapshot["runs"],
-            "cache": snapshot["cache"],
-            "counters": snapshot["counters"],
-        },
-        "drain": summary,
-    }
     return result
 
 

@@ -307,21 +307,12 @@ class CheckpointStore:
         and will never be renamed into place.  Best-effort.
         """
         seqs = sorted((s for s, _ in self._manifests()), reverse=True)
-        names = self._names()
-        self._unlink(
-            [fn for fn in names if fn.startswith(".tmp-")]
-            + self._snapshot_files(names, seqs[self._keep :])
+        # a dropped snapshot is its manifest (snap-<seq>.json) and its
+        # per-array payloads (snap-<seq>-<name>.raw)
+        stems = (".tmp-",) + tuple(
+            f"snap-{seq:08d}{sep}" for seq in seqs[self._keep :] for sep in ".-"
         )
-
-    @staticmethod
-    def _snapshot_files(names: list[str], seqs) -> list[str]:
-        """The file names in ``names`` belonging to the snapshots ``seqs``.
-
-        Covers each manifest (``snap-<seq>.json``) and its per-array
-        payload files (``snap-<seq>-<name>.raw``).
-        """
-        stems = tuple(f"snap-{seq:08d}{sep}" for seq in seqs for sep in ".-")
-        return [fn for fn in names if fn.startswith(stems)]
+        self._unlink([fn for fn in self._names() if fn.startswith(stems)])
 
     def _unlink(self, names: list[str]) -> None:
         for fn in names:
@@ -501,12 +492,6 @@ class CheckpointStore:
                     resumed_seq=snap.seq if snap is not None else None,
                 )
                 tr.metrics.inc("checkpoint.fallbacks")
-
-    def clear(self) -> None:
-        """Remove every snapshot file in the store (the directory stays)."""
-        seqs = [s for s, _ in self._manifests()]
-        self._unlink(self._snapshot_files(self._names(), seqs))
-        self._seq = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CheckpointStore({self._dir})"

@@ -57,10 +57,8 @@ def generation_fingerprint(
     distribution, seed, logical thread count, swap budget, and the
     probability-heuristic options — but not the backend, so a run
     checkpointed on one backend resumes on the other.
-    The serving layer (:mod:`repro.serve`) uses the same digest as its
-    content-addressed result-cache key: two requests share a fingerprint
-    exactly when an uninterrupted run would produce bitwise-identical
-    output for both.
+    Two runs share a fingerprint exactly when an uninterrupted run would
+    produce bitwise-identical output for both.
     """
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(dist.degrees).tobytes())

@@ -36,8 +36,8 @@ def _parse_int_table_lines(lines, n_columns: int, what: str, path) -> np.ndarray
     Rejected with a line-numbered :class:`EdgeListFormatError`: wrong
     column counts and non-integer fields — the failures ``np.loadtxt``
     used to surface as context-free ``ValueError`` tracebacks.  ``path``
-    labels the error source (a filesystem path, or e.g. ``<request>``
-    for in-memory payloads validated at serving admission).
+    labels the error source (a filesystem path, or e.g. ``<edge list>``
+    for an in-memory payload).
     """
     rows: list[list[int]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -142,9 +142,8 @@ def parse_edge_list_text(text: str, *, path="<edge list>") -> EdgeList:
     (comments, blank lines, CRLF; line-numbered
     :class:`EdgeListFormatError` on malformed rows, including a
     ``# n=<count>`` header check), applied to a payload that never
-    touched the filesystem — the serving broker validates request bodies
-    with this at admission, so a malformed request is rejected with the
-    offending line number instead of poisoning a worker pool.  A leading
+    touched the filesystem, so a malformed payload is rejected with the
+    offending line number before it reaches a generator.  A leading
     UTF-8 byte-order mark is consumed (clients that read a BOM-carrying
     file and forward its bytes verbatim), mirroring the file loader's
     ``utf-8-sig`` behaviour; line numbers are unaffected.

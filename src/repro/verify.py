@@ -4,19 +4,18 @@ The paper's output contract is exact: a *simple* graph (no self loops,
 no multi-edges — the whole reason the TestAndSet hash table exists)
 realizing the prescribed degree sequence bit for bit.  The checkpoint
 layer makes the stack survive crashes, but a crash is the *benign*
-failure mode: a silently flipped bit in the hash table, a spill file, a
-checkpoint payload, or a cached result produces a structurally wrong
-graph that every downstream null-model inference then trusts.  This
-module is the detection side of the integrity story; the repair side
-reuses the checkpoint resume machinery (every resumed run reproduces
-the fault-free output exactly, so "repair" means "recompute from a
+failure mode: a silently flipped bit in the hash table, a spill file or
+a checkpoint payload produces a structurally wrong graph that every
+downstream null-model inference then trusts.  This module is the
+detection side of the integrity story; the repair side reuses the
+checkpoint resume machinery (every resumed run reproduces the
+fault-free output exactly, so "repair" means "recompute from a
 validated state").
 
-Three tiers, selected by ``ParallelConfig.verify`` (and per-job by
-``JobSpec.verify``):
+Three tiers, selected by ``ParallelConfig.verify``:
 
-- ``"off"`` (default) — no checks beyond the ones that were always on
-  (checkpoint SHA-256, cached-result digests);
+- ``"off"`` (default) — no checks beyond the one that was always on
+  (checkpoint SHA-256);
 - ``"cheap"`` — O(m) invariant checks at phase boundaries (endpoint
   bounds, no self loops, realized degree sequence == target) plus
   per-window CRC checks on spill-backed arrays;
@@ -31,8 +30,6 @@ never a silently wrong graph — and every check/violation flows through
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from repro.obs import trace as obs_trace
@@ -43,7 +40,6 @@ __all__ = [
     "GraphIntegrityError",
     "ChecksumError",
     "check_tier",
-    "chained_crc",
     "verify_graph",
     "verify_table_registration",
 ]
@@ -56,9 +52,9 @@ class IntegrityError(RuntimeError):
     """Base of the typed corruption family.
 
     Every detector in the data plane raises a subclass of this, so
-    callers can quarantine-and-repair (reload a checkpoint, evict a
-    cache entry) with one ``except`` clause while
-    ordinary programming errors still propagate as themselves.
+    callers can quarantine-and-repair (reload a checkpoint) with one
+    ``except`` clause while ordinary programming errors still propagate
+    as themselves.
     """
 
 
@@ -68,8 +64,7 @@ class GraphIntegrityError(IntegrityError):
 
 
 class ChecksumError(IntegrityError):
-    """A framed digest does not match its data (spill window, cached
-    result)."""
+    """A framed digest does not match its data (a spill window)."""
 
 
 def check_tier(tier: str) -> str:
@@ -77,19 +72,6 @@ def check_tier(tier: str) -> str:
     if tier not in VERIFY_TIERS:
         raise ValueError(f"verify must be one of {VERIFY_TIERS}, got {tier!r}")
     return tier
-
-
-def chained_crc(data, prev: int = 0) -> int:
-    """CRC-32 of ``data`` chained onto ``prev`` (a 32-bit int).
-
-    ``zlib.crc32`` (the CRC-32/ISO-HDLC polynomial) rather than CRC32C:
-    it is the only CRC with a C implementation in the standard library,
-    and a pure-Python Castagnoli loop would dominate the hot paths the
-    frames protect.  Detection strength is equivalent for random bitrot.
-    """
-    if isinstance(data, np.ndarray):
-        data = np.ascontiguousarray(data).tobytes()
-    return zlib.crc32(data, prev) & 0xFFFFFFFF
 
 
 def _violation(label: str, detail: str, *, metric: str) -> GraphIntegrityError:

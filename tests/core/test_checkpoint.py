@@ -34,7 +34,7 @@ from repro.core.checkpoint import (
     CheckpointStore,
     run_fingerprint,
 )
-from repro.core.generate import generate_graph
+from repro.core.generate import generate_graph, generation_fingerprint
 from repro.core.swap import SwapStats, _stats_from_meta, _stats_to_meta, swap_edges
 from repro.graph.degree import DegreeDistribution, NonGraphicalError
 from repro.graph.edgelist import EdgeList
@@ -173,12 +173,6 @@ class TestCheckpointStore:
         finally:
             os.chmod(target, 0o700)
 
-    def test_clear_removes_snapshots(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save("swap")
-        store.clear()
-        assert store.load_latest() is None
-
 
 class TestRunFingerprint:
     def test_deterministic_and_order_free(self):
@@ -186,6 +180,16 @@ class TestRunFingerprint:
 
     def test_sensitive_to_values(self):
         assert run_fingerprint(seed=1) != run_fingerprint(seed=2)
+
+    def test_generation_fingerprint_pins_seed_and_budget_not_backend(self):
+        dist = DegreeDistribution((1, 2), (4, 2))
+        cfg = ParallelConfig(threads=4, backend="vectorized", seed=7)
+        base = generation_fingerprint(dist, 3, cfg)
+        assert generation_fingerprint(dist, 4, cfg) != base
+        assert generation_fingerprint(
+            dist, 3, dataclasses.replace(cfg, seed=8)) != base
+        assert generation_fingerprint(
+            dist, 3, dataclasses.replace(cfg, backend="serial")) == base
 
 
 class TestSwapResume:

@@ -202,7 +202,7 @@ class TestCheckpointRawPayload:
         assert snap.swap_round == 1  # fell back past the torn snapshot
         np.testing.assert_array_equal(np.asarray(snap.arrays["u"]), np.full(64, 1))
 
-    def test_prune_and_clear_remove_raw_files(self, tmp_path):
+    def test_prune_removes_raw_files(self, tmp_path):
         st_ = CheckpointStore(tmp_path, keep=2)
         arr = MmapStore().empty(16, np.int64)
         for round_ in range(4):
@@ -211,8 +211,6 @@ class TestCheckpointRawPayload:
                      fingerprint="fp")
         raws = [f for f in os.listdir(tmp_path) if f.endswith(".raw")]
         assert len(raws) == 2  # pruned to keep=2
-        st_.clear()
-        assert [f for f in os.listdir(tmp_path) if f.startswith("snap-")] == []
 
 
 DRILL_SCRIPT = textwrap.dedent(

@@ -8,7 +8,6 @@ from repro.verify import (
     ChecksumError,
     GraphIntegrityError,
     IntegrityError,
-    chained_crc,
     check_tier,
     verify_graph,
     verify_table_registration,
@@ -26,14 +25,6 @@ class TestTypedFamily:
             assert check_tier(tier) == tier
         with pytest.raises(ValueError):
             check_tier("paranoid")
-
-    def test_chained_crc(self):
-        a = np.arange(10, dtype=np.int64)
-        b = np.arange(10, 20, dtype=np.int64)
-        whole = chained_crc(np.concatenate([a, b]))
-        chained = chained_crc(b, chained_crc(a))
-        assert whole == chained
-        assert chained_crc(a) != chained_crc(b)
 
 
 class TestVerifyGraph:

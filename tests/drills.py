@@ -16,19 +16,9 @@ from repro.core.checkpoint import CheckpointStore, _tmp_name
 
 
 def flip_bit(arr) -> None:
-    """Flip one bit of ``arr``'s middle element in place.
-
-    Frozen (``writeable=False``) arrays are unfrozen for the write and
-    frozen again, so served cache entries can be corrupted too.
-    """
-    was_writeable = arr.flags.writeable
-    arr.flags.writeable = True
-    try:
-        flat = arr.reshape(-1)
-        idx = len(flat) // 2
-        flat[idx] ^= flat.dtype.type(1 << 17)
-    finally:
-        arr.flags.writeable = was_writeable
+    """Flip one bit of ``arr``'s middle element in place."""
+    flat = arr.reshape(-1)
+    flat[len(flat) // 2] ^= flat.dtype.type(1 << 17)
 
 
 def flip_middle_byte(path) -> None:

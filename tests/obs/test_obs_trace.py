@@ -93,6 +93,10 @@ class TestRecording:
         first = json.loads(path.read_text().splitlines()[0])
         assert first["kind"] == "meta"
 
+    def test_jsonl_mirror_takes_no_rotation_knobs(self, tmp_path):
+        with pytest.raises(TypeError):
+            RunTrace(tmp_path / "t.jsonl", rotate_bytes=1)
+
 
 class TestGenerateIntegration:
     def test_untraced_run_identical_to_traced(self, small_dist, cfg):

@@ -59,6 +59,31 @@ class TestPublicSurface:
         assert result.stdout.strip() == "[]"
 
 
+def test_no_module_imports_an_event_loop_or_thread_pool():
+    """The library is the generator: no module brings asyncio or a pool."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import importlib, pkgutil, sys, repro\n"
+            "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('asyncio', 'concurrent')))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+    from repro.bench.cli import main
+
+    assert main(["serve"]) == 2
+
+
 class TestExampleScripts:
     """Every shipped example must run cleanly end to end."""
 

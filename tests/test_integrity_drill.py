@@ -1,7 +1,7 @@
 """Bit-rot drills: every artifact class, flipped, must be repaired or typed.
 
 The proof obligation of the integrity layer: for each artifact class
-(hash table, spill window, checkpoint payload, cache entry) the drill
+(hash table, spill window, checkpoint payload) the drill
 corrupts exactly one bit or byte mid-run, by wrapping the library
 function at that point (see ``tests/drills.py``), and the run must either
 
@@ -138,22 +138,6 @@ class TestCheckpointDrill:
                     if "checkpoint fallback" in r.getMessage()]
         assert warnings, "fallback WARNING never logged"
         assert "sha256" in warnings[0].getMessage()
-
-
-class TestCacheDrill:
-    def test_corrupt_entry_evicted_not_served(self):
-        from repro.serve.cache import CachedResult, ResultCache
-
-        cache = ResultCache()
-        u = np.arange(32, dtype=np.int64)
-        entry = cache.put(CachedResult(fingerprint="f", u=u, v=u + 1, n=64))
-        flip_bit(entry.u)
-        assert cache.get("f") is None  # flipped -> evicted, miss
-        assert cache.corrupt_evictions == 1
-        assert len(cache) == 0
-        # a recomputed insert round-trips fine
-        cache.put(CachedResult(fingerprint="f", u=u, v=u + 1, n=64))
-        assert cache.get("f") is not None
 
 
 class TestEveryArtifactCovered:
