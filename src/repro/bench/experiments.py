@@ -707,8 +707,8 @@ def durable(
     store (``repro-experiments durable --checkpoint-dir DIR``); with
     ``--resume`` the run re-enters from the newest snapshot in that
     directory instead of starting over — after a crash (or a deliberate
-    SIGKILL, as in the CI resume drill) the continuation is
-    bitwise-identical to an uninterrupted run.
+    SIGKILL, as in the resume drills of ``tests/core/test_checkpoint.py``)
+    the continuation is bitwise-identical to an uninterrupted run.
     """
     import tempfile
 

@@ -1,23 +1,20 @@
-"""Crash-consistent checkpoint/resume for long swap chains and pipelines.
+"""Crash-consistent checkpoint/resume for long swap chains.
 
 The paper's experiments mix for ``Km`` swap attempts over graphs with
 hundreds of millions of edges — exactly the runs that a parent-process
 crash (OOM kill, preemption, ctrl-C) should not send back to square one.
-This module turns the swap engine and the generation pipeline into
-*durable* runs: the driver periodically writes a snapshot of everything
-needed to continue — the current edge arrays, the swap RNG stream state,
-the accumulated statistics, and the phase cursor — and a restarted
-driver replays nothing, resuming **bitwise-identically** to an
-uninterrupted run with the same seed.
+This module makes the swap chain *durable*: the driver periodically
+writes a snapshot of everything needed to continue — the current edge
+arrays, the swap RNG stream state, the accumulated statistics, and the
+round cursor — and a restarted driver resumes **bitwise-identically** to
+an uninterrupted run with the same seed.
 
-Snapshots are taken only at *reconstructible* boundaries:
-
-- ``swap_edges`` snapshots at permutation-round boundaries, where the
-  concurrent hash table is a pure function of the edge array (every
-  iteration begins with ``clear()`` + re-registration), so no
-  hash-table state ever needs serializing;
-- ``generate_graph`` additionally snapshots at phase boundaries
-  (probabilities → edges → swap) and marks the run ``done`` at the end.
+Snapshots are taken only at permutation-round boundaries, where the
+concurrent hash table is a pure function of the edge array (every
+iteration begins with ``clear()`` + re-registration), so no hash-table
+state ever needs serializing.  ``generate_graph`` checkpoints nothing
+else: its probabilities and edges are a pure function of its inputs, so
+a resumed run recomputes them and hands the snapshot to the swap chain.
 
 Crash consistency is the tmp-file + ``os.replace`` discipline used by
 write-ahead logs everywhere: each array is streamed to its own
@@ -65,8 +62,8 @@ logger = logging.getLogger(__name__)
 #: On-disk snapshot format version; bumped on incompatible layout changes.
 FORMAT_VERSION = 1
 
-#: Phases a snapshot may record, in pipeline order.
-PHASES = ("probabilities", "edges", "swap", "done")
+#: Phases a snapshot may record: only the swap chain checkpoints.
+PHASES = ("swap",)
 
 #: Streaming chunk for raw payload writes/verifies (bytes).
 _RAW_CHUNK = 1 << 22
@@ -91,10 +88,11 @@ def run_fingerprint(**fields) -> str:
     Callers pass the fields that pin down the run's *output* — input
     digest, seed, logical thread count, iteration budget, null-model
     space — and get a stable hex digest.  Execution details that do not
-    change the output (the backend) must be left out: resuming a
-    ``serial``-backend swap checkpoint on the ``vectorized`` backend is
-    explicitly supported, because both swap engines are
-    bitwise-identical.
+    change the output must be left out.  Both swap engines are
+    bitwise-identical, so a swap fingerprint omits the backend and a
+    ``serial``-backend swap checkpoint resumes on the ``vectorized``
+    backend; the edge generators are not, so a generation fingerprint
+    pins it.
     """
     payload = json.dumps(
         {k: fields[k] for k in sorted(fields)},
@@ -112,8 +110,7 @@ class Checkpoint:
     ``arrays`` holds the numpy payload (edge endpoint arrays, the
     swapped-at-least-once mask — whatever the phase recorded) as
     read-only maps of the payload files; ``meta`` holds the JSON-safe
-    state (RNG stream state, accumulated statistics, per-phase wall
-    seconds).
+    state (RNG stream state, accumulated statistics).
     """
 
     phase: str
@@ -306,13 +303,14 @@ class CheckpointStore:
         ``.tmp-`` file present then was left by a writer killed mid-save
         and will never be renamed into place.  Best-effort.
         """
-        seqs = sorted((s for s, _ in self._manifests()), reverse=True)
+        names = self._names()
+        seqs = sorted((s for s, _ in self._manifests(names)), reverse=True)
         # a dropped snapshot is its manifest (snap-<seq>.json) and its
         # per-array payloads (snap-<seq>-<name>.raw)
         stems = (".tmp-",) + tuple(
             f"snap-{seq:08d}{sep}" for seq in seqs[self._keep :] for sep in ".-"
         )
-        self._unlink([fn for fn in self._names() if fn.startswith(stems)])
+        self._unlink([fn for fn in names if fn.startswith(stems)])
 
     def _unlink(self, names: list[str]) -> None:
         for fn in names:
@@ -330,10 +328,14 @@ class CheckpointStore:
         except OSError:
             return []
 
-    def _manifests(self) -> list[tuple[int, Path]]:
-        """``(seq, path)`` of every manifest file, unvalidated."""
+    def _manifests(self, names: list[str] | None = None) -> list[tuple[int, Path]]:
+        """``(seq, path)`` of every manifest file, unvalidated.
+
+        ``names`` is a listing of the store already taken; by default
+        the store is listed afresh.
+        """
         out = []
-        for fn in self._names():
+        for fn in self._names() if names is None else names:
             if fn.startswith("snap-") and fn.endswith(".json"):
                 try:
                     out.append((int(fn[5:-5]), self._dir / fn))

@@ -26,13 +26,7 @@ import numpy as np
 from repro.core.checkpoint import as_store, run_fingerprint
 from repro.core.edge_skip import generate_edges
 from repro.core.probabilities import ProbabilityResult, generate_probabilities
-from repro.core.swap import (
-    SwapStats,
-    _maybe_span,
-    _stats_from_meta,
-    _stats_to_meta,
-    swap_edges,
-)
+from repro.core.swap import SwapStats, _checkpoint_store, _maybe_span, swap_edges
 from repro.graph.degree import (
     DegreeDistribution,
     NonGraphicalError,
@@ -53,10 +47,11 @@ def generation_fingerprint(
 ) -> str:
     """Resume-compatibility fingerprint of a :func:`generate_graph` run.
 
-    One fingerprint covers every phase's snapshots: it pins the degree
-    distribution, seed, logical thread count, swap budget, and the
-    probability-heuristic options — but not the backend, so a run
-    checkpointed on one backend resumes on the other.
+    It pins the degree distribution, seed, logical thread count,
+    backend, swap budget, and the probability-heuristic options.  The
+    backend is pinned because the serial and vectorized edge generators
+    draw their random streams in different orders, so a run's snapshots
+    resume only on the backend that wrote them.
     Two runs share a fingerprint exactly when an uninterrupted run would
     produce bitwise-identical output for both.
     """
@@ -69,16 +64,9 @@ def generation_fingerprint(
         swap_iterations=int(swap_iterations),
         seed=repr(config.seed),
         threads=int(config.threads),
+        backend=config.backend,
         probability_kwargs=repr(sorted((probability_kwargs or {}).items())),
     )
-
-
-def _merge_phase_seconds(base: dict, tail: dict) -> dict:
-    """Per-phase sum of two timing dicts (cumulative accounting)."""
-    out = {str(k): float(s) for k, s in base.items()}
-    for k, s in tail.items():
-        out[str(k)] = out.get(str(k), 0.0) + float(s)
-    return out
 
 
 def _sample_memory() -> None:
@@ -100,49 +88,28 @@ class GenerationReport:
     probabilities: ProbabilityResult
     swap_stats: SwapStats
     cost: CostModel
-    #: wall seconds per phase — of *this process's* execution only; on a
-    #: resumed run that is the replayed tail (see
-    #: :attr:`prior_phase_seconds` / :attr:`cumulative_phase_seconds`)
+    #: wall seconds per phase of this call; on a resumed run the swap
+    #: phase covers only the rounds after the snapshot
     phase_seconds: dict = field(default_factory=dict)
     edges_generated: int = 0
     #: true end-to-end wall time measured around this :func:`generate_graph`
-    #: call — on a resumed run, the tail only
+    #: call
     wall_seconds: float | None = None
-    #: cumulative per-phase seconds banked by the interrupted run(s) this
-    #: one resumed from (restored from the checkpoint); empty on a fresh run
-    prior_phase_seconds: dict = field(default_factory=dict)
     #: the swap phase detected corruption (an ``IntegrityError``) and was
     #: replayed from the newest validated checkpoint; the replay is
     #: bitwise-identical — the output is unaffected, only the execution path
     degraded: bool = False
-    #: this run resumed from a crash-consistent checkpoint (its
-    #: ``phase_seconds``/``wall_seconds``/``cost`` cover only the replayed
-    #: tail; ``cumulative_*`` fold in the interrupted attempts' spend; the
-    #: edge list and swap statistics are those of the full run)
+    #: the swap chain re-entered from a crash-consistent checkpoint (its
+    #: ``phase_seconds``/``wall_seconds``/``cost`` cover this call only;
+    #: the edge list and swap statistics are those of the full run)
     resumed: bool = False
 
     @property
     def total_seconds(self) -> float:
-        """End-to-end wall time of this call (the tail, when resumed)."""
+        """End-to-end wall time of this call."""
         if self.wall_seconds is not None:
             return self.wall_seconds
         return sum(self.phase_seconds.values())
-
-    @property
-    def cumulative_phase_seconds(self) -> dict:
-        """Per-phase seconds summed over every attempt of this run.
-
-        Prior attempts' spend (restored from the checkpoint) plus this
-        call's tail.  A resumed process re-executes some work — e.g. it
-        recomputes probabilities before loading a swap snapshot — and
-        that spend is real, so phases may be counted once per attempt.
-        """
-        return _merge_phase_seconds(self.prior_phase_seconds, self.phase_seconds)
-
-    @property
-    def cumulative_seconds(self) -> float:
-        """Total seconds across every attempt: banked prior + this call."""
-        return sum(self.prior_phase_seconds.values()) + self.total_seconds
 
 
 def generate_graph(
@@ -183,16 +150,16 @@ def generate_graph(
         backends for a fixed seed.
     checkpoint_dir:
         Directory (or :class:`~repro.core.checkpoint.CheckpointStore`)
-        receiving crash-consistent snapshots at phase boundaries
-        (probabilities → edges → swap → done) and, with
-        ``checkpoint_every > 0``, every that-many swap iterations.
+        receiving the swap chain's crash-consistent snapshots.  Requires
+        ``checkpoint_every > 0``.
     checkpoint_every:
-        Mid-swap snapshot cadence in iterations (0 = phase boundaries
-        only).
+        Swap snapshot cadence in iterations; the final iteration is
+        always snapshotted.
     resume_from:
         Checkpoint store/directory of an interrupted run with the same
-        inputs and seed; completed phases are skipped and the swap chain
-        re-enters at the snapshotted round.  The resumed output is
+        inputs, seed and backend.  Probabilities and edges are
+        recomputed (they are a pure function of the inputs) and the swap
+        chain re-enters at the snapshotted round.  The resumed output is
         bitwise-identical to an uninterrupted run; fingerprint
         mismatches raise
         :class:`~repro.core.checkpoint.CheckpointMismatchError`.
@@ -204,6 +171,9 @@ def generate_graph(
         simple graph realizes it, so the request is rejected at the
         boundary with the first violated prefix named instead of
         failing obscurely mid-sampling.
+    ValueError
+        If only one of ``checkpoint_dir`` and ``checkpoint_every`` is
+        given (checked before any phase runs).
 
     Returns
     -------
@@ -252,12 +222,8 @@ def _generate(
         raise NonGraphicalError(
             f"degree distribution is not graphical: {violation}"
         )
-    if checkpoint_every < 0:
-        raise ValueError("checkpoint_every must be >= 0")
-    store = as_store(checkpoint_dir) if checkpoint_dir is not None else None
-    if checkpoint_every and store is None:
-        raise ValueError("checkpoint_every requires checkpoint_dir")
-    fingerprint = ""
+    store = _checkpoint_store(checkpoint_dir, checkpoint_every)
+    fingerprint = None
     resume_snap = None
     if store is not None or resume_from is not None:
         fingerprint = generation_fingerprint(
@@ -269,14 +235,6 @@ def _generate(
             )
     cost = CostModel()
     phase_seconds: dict[str, float] = {}
-    # cumulative spend the interrupted run(s) banked in the snapshot; the
-    # tail's own timings stay separate so the report can show both
-    prior_phase_seconds: dict[str, float] = {}
-    if resume_snap is not None:
-        prior_phase_seconds = {
-            str(k): float(s)
-            for k, s in (resume_snap.meta.get("phase_seconds") or {}).items()
-        }
     wall0 = time.perf_counter()
 
     t0 = time.perf_counter()
@@ -290,50 +248,9 @@ def _generate(
         cost.phases[-1].seconds = phase_seconds["probabilities"]
     _sample_memory()
 
-    if resume_snap is not None and resume_snap.phase == "done":
-        # the interrupted run had already finished and snapshotted its
-        # result; hand it back without regenerating anything
-        out = EdgeList(
-            np.ascontiguousarray(resume_snap.arrays["u"], dtype=np.int64),
-            np.ascontiguousarray(resume_snap.arrays["v"], dtype=np.int64),
-            dist.n,
-        )
-        swap_stats = _stats_from_meta(resume_snap.meta.get("stats"))
-        return out, GenerationReport(
-            dist=dist,
-            probabilities=probabilities,
-            swap_stats=swap_stats,
-            cost=cost,
-            phase_seconds=phase_seconds,
-            edges_generated=int(resume_snap.meta.get("edges_generated", out.m)),
-            wall_seconds=time.perf_counter() - wall0,
-            prior_phase_seconds=prior_phase_seconds,
-            resumed=True,
-        )
-
-    if store is not None and resume_snap is None:
-        # phase snapshots are written only on a fresh run: a resumed run
-        # must never let an earlier-phase snapshot outrank (and prune)
-        # the later-phase one it is resuming from.  This one records the
-        # phase marker and timings only: every run recomputes P
-        store.save(
-            "probabilities",
-            meta={"phase_seconds": dict(phase_seconds)},
-            fingerprint=fingerprint,
-        )
-
-    degraded = False
-    resuming = resume_snap is not None and resume_snap.phase in ("edges", "swap")
     t0 = time.perf_counter()
-    with _maybe_span("phase:edge_generation", resumed=resuming):
-        if resuming:
-            edges = EdgeList(
-                np.ascontiguousarray(resume_snap.arrays["u"], dtype=np.int64),
-                np.ascontiguousarray(resume_snap.arrays["v"], dtype=np.int64),
-                dist.n,
-            )
-        else:
-            edges = generate_edges(probabilities.P, dist, config, cost=cost)
+    with _maybe_span("phase:edge_generation"):
+        edges = generate_edges(probabilities.P, dist, config, cost=cost)
     phase_seconds["edge_generation"] = time.perf_counter() - t0
     if cost.phases and cost.phases[-1].name == "edge_generation":
         cost.phases[-1].seconds = phase_seconds["edge_generation"]
@@ -346,14 +263,8 @@ def _generate(
             edges.u, edges.v, dist.n, tier=config.verify,
             check_loops=False, check_duplicates=False, label="edges",
         )
-    if store is not None and not resuming:
-        store.save(
-            "edges",
-            arrays={"u": edges.u, "v": edges.v},
-            meta={"phase_seconds": dict(phase_seconds)},
-            fingerprint=fingerprint,
-        )
 
+    degraded = False
     t0 = time.perf_counter()
     swap_stats = SwapStats()
     with _maybe_span("phase:swap"):
@@ -361,14 +272,9 @@ def _generate(
             cost=cost,
             callback=callback,
             mixing_every=mixing_every,
-            # mid-swap snapshots need a cadence; the phase snapshots
-            # around the swap go to the store either way
-            checkpoint_dir=store if checkpoint_every else None,
+            checkpoint_dir=store,
             checkpoint_every=checkpoint_every,
-            _fingerprint=fingerprint or None,
-            # mid-swap snapshots bank cumulative spend: the prior runs'
-            # plus this tail's earlier phases
-            _timing_base=_merge_phase_seconds(prior_phase_seconds, phase_seconds),
+            _fingerprint=fingerprint,
         )
         try:
             out = swap_edges(
@@ -376,11 +282,7 @@ def _generate(
                 swap_iterations,
                 config,
                 stats=swap_stats,
-                resume_from=(
-                    resume_snap
-                    if resume_snap is not None and resume_snap.phase == "swap"
-                    else None
-                ),
+                resume_from=resume_snap,
                 **swap_kwargs,
             )
         except IntegrityError:
@@ -406,19 +308,6 @@ def _generate(
             )
     phase_seconds["swap"] = time.perf_counter() - t0
     _sample_memory()
-    if store is not None:
-        store.save(
-            "done",
-            arrays={"u": out.u, "v": out.v},
-            meta={
-                "stats": _stats_to_meta(swap_stats),
-                "edges_generated": edges.m,
-                "phase_seconds": _merge_phase_seconds(
-                    prior_phase_seconds, phase_seconds
-                ),
-            },
-            fingerprint=fingerprint,
-        )
 
     report = GenerationReport(
         dist=dist,
@@ -428,7 +317,6 @@ def _generate(
         phase_seconds=phase_seconds,
         edges_generated=edges.m,
         wall_seconds=time.perf_counter() - wall0,
-        prior_phase_seconds=prior_phase_seconds,
         degraded=degraded,
         resumed=resume_snap is not None,
     )

@@ -234,8 +234,6 @@ class _SwapResume:
     swapped: np.ndarray
     rng_state: dict
     stats: SwapStats
-    #: cumulative per-phase seconds of the run(s) that wrote the snapshot
-    phase_seconds: dict = field(default_factory=dict)
 
 
 def _restore_rng(rng: np.random.Generator, state: dict) -> None:
@@ -279,9 +277,8 @@ def _load_swap_resume(source, fingerprint: str, m: int) -> _SwapResume | None:
 
     ``source`` may be a :class:`~repro.core.checkpoint.Checkpoint`
     already loaded by a caller, a :class:`CheckpointStore`, or a path.
-    Snapshots of earlier phases (``probabilities``/``edges``) yield
-    ``None`` — the chain simply starts at round 0.  A swap snapshot that
-    does not fit the input graph raises
+    An empty store yields ``None`` — the chain simply starts at round 0.
+    A snapshot that does not fit the input graph raises
     :class:`~repro.core.checkpoint.CheckpointMismatchError`.
     """
     if isinstance(source, Checkpoint):
@@ -293,7 +290,7 @@ def _load_swap_resume(source, fingerprint: str, m: int) -> _SwapResume | None:
     else:
         store = as_store(source)
         snap = store.load_latest(fingerprint=fingerprint or None)
-    if snap is None or snap.phase != "swap":
+    if snap is None:
         return None
     u = snap.arrays.get("u")
     v = snap.arrays.get("v")
@@ -312,22 +309,26 @@ def _load_swap_resume(source, fingerprint: str, m: int) -> _SwapResume | None:
         swapped=np.ascontiguousarray(swapped, dtype=bool),
         rng_state=rng_state,
         stats=_stats_from_meta(snap.meta.get("stats")),
-        phase_seconds={
-            str(k): float(s)
-            for k, s in (snap.meta.get("phase_seconds") or {}).items()
-        },
     )
+
+
+def _checkpoint_store(checkpoint_dir, checkpoint_every: int):
+    """Validate a run's checkpoint arguments; its store, or ``None``.
+
+    Snapshots need both a directory and a positive cadence, so either
+    one without the other raises ``ValueError``.
+    """
+    if checkpoint_every < 0:
+        raise ValueError("checkpoint_every must be >= 0")
+    if checkpoint_every and checkpoint_dir is None:
+        raise ValueError("checkpoint_every requires checkpoint_dir")
+    if checkpoint_dir is not None and not checkpoint_every:
+        raise ValueError("checkpoint_dir requires checkpoint_every > 0")
+    return as_store(checkpoint_dir)
 
 
 class _SwapCheckpointer:
     """Writes iteration-boundary snapshots into a checkpoint store.
-
-    ``timing_base`` is the cumulative per-phase seconds accrued *before*
-    this chain entered its loop — earlier phases of the current run plus
-    everything a resumed snapshot had already banked.  Every snapshot
-    persists ``timing_base + {swap: elapsed-since-construction}`` so a
-    later resume can report honest cumulative timings
-    (see :class:`~repro.core.generate.GenerationReport`).
 
     With ``verify != "off"`` every snapshot is validated *before* it is
     written (bounds + degree preservation at cheap-tier cost — loops and
@@ -338,31 +339,21 @@ class _SwapCheckpointer:
     """
 
     def __init__(self, store, every: int, fingerprint: str, total: int,
-                 *, timing_base: dict | None = None, verify: str = "off",
-                 n_vertices: int = 0, degrees=None) -> None:
+                 *, verify: str = "off", n_vertices: int = 0,
+                 degrees=None) -> None:
         self.store = store
         self.every = int(every)
         self.fingerprint = fingerprint
         self.total = int(total)
-        self.timing_base = {k: float(s) for k, s in (timing_base or {}).items()}
         self.verify = verify
         self.n_vertices = int(n_vertices)
         self.degrees = degrees
-        self._t0 = time.perf_counter()
-
-    def cumulative_phase_seconds(self) -> dict:
-        """``timing_base`` plus the swap seconds elapsed so far."""
-        phase_seconds = dict(self.timing_base)
-        phase_seconds["swap"] = (
-            phase_seconds.get("swap", 0.0) + time.perf_counter() - self._t0
-        )
-        return phase_seconds
 
     def after_round(self, it, u, v, swapped, rng, stats) -> None:
         """Snapshot after iteration ``it`` when the cadence says so.
 
         The final round is always snapshotted so a resumed-after-finish
-        run short-circuits; intermediate rounds follow ``every``.
+        run replays no round; intermediate rounds follow ``every``.
         """
         done = it + 1
         if done % self.every and done != self.total:
@@ -382,7 +373,6 @@ class _SwapCheckpointer:
             meta={
                 "rng_state": rng.bit_generator.state,
                 "stats": _stats_to_meta(stats),
-                "phase_seconds": self.cumulative_phase_seconds(),
             },
             fingerprint=self.fingerprint,
         )
@@ -409,7 +399,6 @@ def swap_edges(
     checkpoint_every: int = 0,
     resume_from=None,
     _fingerprint: str | None = None,
-    _timing_base: dict | None = None,
 ) -> EdgeList:
     """Run ``iterations`` full parallel swap iterations over ``graph``.
 
@@ -460,9 +449,9 @@ def swap_edges(
         :class:`~repro.core.checkpoint.Checkpoint`) to resume from.  The
         snapshot's fingerprint must match this run's input + seed +
         parameters; mismatches raise
-        :class:`~repro.core.checkpoint.CheckpointMismatchError`.  A
-        store with no swap snapshot starts from round 0.  The resumed
-        run is bitwise-identical to an uninterrupted one.
+        :class:`~repro.core.checkpoint.CheckpointMismatchError`.  An
+        empty store starts from round 0.  The resumed run is
+        bitwise-identical to an uninterrupted one.
 
     Returns
     -------
@@ -487,13 +476,7 @@ def swap_edges(
         callback = probe.callback(callback)
         stats.mixing = probe.trajectory
 
-    if checkpoint_every < 0:
-        raise ValueError("checkpoint_every must be >= 0")
-    if checkpoint_every and checkpoint_dir is None:
-        raise ValueError("checkpoint_every requires checkpoint_dir")
-    if checkpoint_dir is not None and not checkpoint_every:
-        raise ValueError("checkpoint_dir requires checkpoint_every > 0")
-    store = as_store(checkpoint_dir) if checkpoint_dir is not None else None
+    store = _checkpoint_store(checkpoint_dir, checkpoint_every)
     # the degree sequence every swap preserves: the checkpointer validates
     # each snapshot against it and the loop the final output
     target_degrees = None
@@ -511,20 +494,10 @@ def swap_edges(
         if resume_from is not None:
             resume_state = _load_swap_resume(resume_from, fingerprint, m)
         if store is not None:
-            # snapshots persist cumulative timings: the caller's base
-            # (generate_graph threads earlier phases + any resumed prior
-            # through ``_timing_base``) or, standalone, whatever the
-            # resumed snapshot had already banked
-            if _timing_base is not None:
-                base = _timing_base
-            elif resume_state is not None:
-                base = resume_state.phase_seconds
-            else:
-                base = None
             ckpt = _SwapCheckpointer(
                 store, checkpoint_every, fingerprint, iterations,
-                timing_base=base, verify=config.verify,
-                n_vertices=graph.n, degrees=target_degrees,
+                verify=config.verify, n_vertices=graph.n,
+                degrees=target_degrees,
             )
 
     rng = config.generator()

@@ -28,7 +28,7 @@ Quickstart::
     print(report.swap_stats.mixing.to_dict())
 """
 
-from repro.obs.metrics import Histogram, Metrics, SampledTimer, record_table_stats
+from repro.obs.metrics import Histogram, Metrics, record_table_stats
 from repro.obs.mixing import (
     MixingProbe,
     MixingSample,
@@ -49,7 +49,6 @@ __all__ = [
     "current",
     "Metrics",
     "Histogram",
-    "SampledTimer",
     "record_table_stats",
     "MixingProbe",
     "MixingSample",

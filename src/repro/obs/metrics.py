@@ -6,22 +6,16 @@ directly — instrumentation sites ask :func:`repro.obs.trace.current`
 first and skip everything when tracing is off, so the disabled cost is
 one global read.  The hash table's contention counters are ingested
 *once per phase* via :func:`record_table_stats`, not per operation.
-
-Timers are sampled: a :class:`SampledTimer` counts every call but only
-reads the clock on every ``sample_every``-th one, bounding overhead on
-per-iteration sites while still estimating the latency distribution.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
     "Histogram",
     "Metrics",
-    "SampledTimer",
     "record_table_stats",
     "record_memory_stats",
 ]
@@ -50,11 +44,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def observe_many(self, values) -> None:
-        """Fold an iterable of values into the summary."""
-        for v in values:
-            self.observe(float(v))
-
     @property
     def mean(self) -> float:
         """Arithmetic mean of observed values (0.0 when empty)."""
@@ -71,38 +60,6 @@ class Histogram:
             "min": self.min,
             "max": self.max,
         }
-
-
-class SampledTimer:
-    """Times every ``sample_every``-th call; counts all of them.
-
-    Usage (per-iteration hot path)::
-
-        with metrics.timer("swap.iteration", sample_every=16):
-            ...
-
-    ``<name>.calls`` counts invocations; the histogram ``<name>``
-    collects only sampled durations.
-    """
-
-    __slots__ = ("_metrics", "_name", "_every", "_t0")
-
-    def __init__(self, metrics: "Metrics", name: str, sample_every: int):
-        self._metrics = metrics
-        self._name = name
-        self._every = max(1, int(sample_every))
-        self._t0: float | None = None
-
-    def __enter__(self) -> "SampledTimer":
-        n = self._metrics.inc(f"{self._name}.calls")
-        if (n - 1) % self._every == 0:
-            self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._t0 is not None:
-            self._metrics.observe(self._name, time.perf_counter() - self._t0)
-            self._t0 = None
 
 
 class Metrics:
@@ -129,17 +86,6 @@ class Metrics:
         if hist is None:
             hist = self.histograms[name] = Histogram()
         hist.observe(value)
-
-    def observe_many(self, name: str, values) -> None:
-        """Fold an iterable into histogram ``name`` (created on demand)."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.observe_many(values)
-
-    def timer(self, name: str, *, sample_every: int = 1) -> SampledTimer:
-        """Context manager timing every ``sample_every``-th entry."""
-        return SampledTimer(self, name, sample_every)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-safe dump of the whole registry."""

@@ -5,6 +5,8 @@ kills the driver, by wrapping the library function that sits at the
 point under test, the same way the benchmark tracer wraps boundary
 functions.  Each wrapper replaces the attribute the library looks up at
 call time, so everything it does not replace runs unchanged.
+:func:`durable_run` is the resume drills' driver, shared by the driver
+processes and the in-process references they are compared with.
 """
 
 import os
@@ -13,6 +15,11 @@ import signal
 import numpy as np
 
 from repro.core.checkpoint import CheckpointStore, _tmp_name
+from repro.core.generate import generate_graph
+from repro.core.swap import SwapStats, swap_edges
+from repro.graph.degree import DegreeDistribution
+from repro.graph.edgelist import EdgeList
+from repro.parallel.runtime import ParallelConfig
 
 
 def flip_bit(arr) -> None:
@@ -91,3 +98,36 @@ def tear_write_and_die(n: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
     CheckpointStore._write_raw = write_half_then_die
+
+
+def durable_run(driver: str, backend: str, store=None):
+    """One resume-drill run: six swap passes on ``backend``, snapshotted
+    after every pass into ``store`` and resumed from it; without
+    ``store``, the uninterrupted reference.
+
+    ``driver`` is ``"swap"`` (``swap_edges`` on a random 360-edge
+    multigraph, seed 42) or ``"generate"`` (``generate_graph`` on
+    degrees [1, 2, 3, 6] × [400, 240, 100, 40], seed 11).  Returns the
+    output edge list and its :class:`~repro.core.swap.SwapStats`.
+    """
+    durable = {}
+    if store is not None:
+        durable = dict(checkpoint_dir=store, checkpoint_every=1,
+                       resume_from=store)
+    if driver == "generate":
+        dist = DegreeDistribution([1, 2, 3, 6], [400, 240, 100, 40])
+        cfg = ParallelConfig(seed=11, threads=2, backend=backend)
+        out, report = generate_graph(dist, swap_iterations=6, config=cfg,
+                                     **durable)
+        return out, report.swap_stats
+    rng = np.random.default_rng(0)
+    n, m = 120, 360
+    graph = EdgeList(
+        rng.integers(0, n, m).astype(np.int64),
+        rng.integers(0, n, m).astype(np.int64),
+        n,
+    )
+    stats = SwapStats()
+    cfg = ParallelConfig(seed=42, threads=2, backend=backend)
+    out = swap_edges(graph, 6, cfg, stats=stats, **durable)
+    return out, stats

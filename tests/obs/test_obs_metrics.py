@@ -17,7 +17,8 @@ class TestHistogram:
 
     def test_observe(self):
         h = Histogram()
-        h.observe_many([1, 2, 3])
+        for value in (1, 2, 3):
+            h.observe(value)
         assert h.count == 3
         assert h.mean == pytest.approx(2.0)
         assert h.min == 1.0 and h.max == 3.0
@@ -39,17 +40,8 @@ class TestMetrics:
     def test_histogram_created_on_demand(self):
         m = Metrics()
         m.observe("h", 4.0)
-        m.observe_many("h", [6.0])
+        m.observe("h", 6.0)
         assert m.histograms["h"].mean == pytest.approx(5.0)
-
-    def test_sampled_timer_counts_all_times_some(self):
-        m = Metrics()
-        for _ in range(10):
-            with m.timer("op", sample_every=4):
-                pass
-        assert m.counters["op.calls"] == 10
-        # calls 1, 5, 9 are sampled
-        assert m.histograms["op"].count == 3
 
     def test_snapshot_shape(self):
         m = Metrics()

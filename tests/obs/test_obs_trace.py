@@ -150,6 +150,29 @@ class TestGenerateIntegration:
         assert tr.metrics.counters["checkpoint.writes"] == len(writes)
 
 
+class TestObserveCommand:
+    """``repro-experiments observe --trace F --mixing 1``, checked the way
+    a reader of ``F`` would check it."""
+
+    def test_trace_validates_and_covers_the_pipeline(self, tmp_path, capsys):
+        from repro.bench.cli import main
+        from repro.obs import schema
+
+        path = str(tmp_path / "trace.jsonl")
+        assert main(["observe", "--trace", path, "--mixing", "1"]) == 0
+        assert schema.main([path]) == 0
+        assert validate_trace_file(path)["roots"] == ["generate"]
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh]
+        spans = {r["name"]: r for r in records if r["kind"] == "span"}
+        events = {r["name"] for r in records if r["kind"] == "event"}
+        root = spans["generate"]
+        for phase in ("probabilities", "edge_generation", "swap"):
+            assert spans[f"phase:{phase}"]["parent"] == root["id"]
+        assert {"swap.round", "metrics.snapshot"} <= events
+        assert root["attrs"]["backend"] == "vectorized"
+
+
 class TestAutotuneEvents:
     """``tune.replan`` trace events record the storage planner's automatic
     spill decisions, and only those."""
