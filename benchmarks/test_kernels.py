@@ -13,8 +13,7 @@ import pytest
 
 from repro.core.edge_skip import skip_positions, triangle_unrank
 from repro.parallel.hashtable import ConcurrentEdgeHashTable, pack_edges
-from repro.parallel.prefix import blocked_prefix_sum
-from repro.parallel.runtime import ParallelConfig
+from repro.parallel.prefix import prefix_sum
 
 M = 1_000_000
 
@@ -54,7 +53,7 @@ def test_bench_hashtable_membership(benchmark, endpoints):
 
 def test_bench_prefix_sum(benchmark):
     values = np.random.default_rng(1).integers(0, 100, M)
-    out = benchmark(blocked_prefix_sum, values, ParallelConfig(threads=16))
+    out = benchmark(prefix_sum, values)
     assert out[-1] == values.sum()
 
 

@@ -83,8 +83,9 @@ def test_contention_is_rare(large_graph):
 
 
 def test_bench_serial_vs_vectorized(benchmark):
-    """The serial-engine comparison point (paper: 15 s serial vs 3 s on
-    16 cores for LiveJournal; here both run the same numpy kernels, the
-    cost model supplies the thread scaling)."""
+    """The default engine at ``threads=1``: the comparison point for the
+    paper's 15 s serial vs 3 s on 16 cores for LiveJournal.  Every thread
+    count runs the same numpy kernels; the cost model supplies the thread
+    scaling."""
     g = havel_hakimi_graph(dataset("LiveJournal", scale_mult=0.2))
     benchmark(swap_edges, g, 1, ParallelConfig(threads=1, seed=3))

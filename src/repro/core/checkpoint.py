@@ -86,13 +86,10 @@ def run_fingerprint(**fields) -> str:
     """Digest identifying a run for resume-compatibility checks.
 
     Callers pass the fields that pin down the run's *output* — input
-    digest, seed, logical thread count, iteration budget, null-model
-    space — and get a stable hex digest.  Execution details that do not
-    change the output must be left out.  Both swap engines are
-    bitwise-identical, so a swap fingerprint omits the backend and a
-    ``serial``-backend swap checkpoint resumes on the ``vectorized``
-    backend; the edge generators are not, so a generation fingerprint
-    pins it.
+    digest, seed, iteration budget, null-model space — and get a stable
+    hex digest.  Execution details that do not change the output, such
+    as the logical thread count, must be left out, so a snapshot resumes
+    under any of them.
     """
     payload = json.dumps(
         {k: fields[k] for k in sorted(fields)},

@@ -16,10 +16,10 @@ pair is considered exactly once.  Offsets within a space map to global
 vertex ids through the prefix sums ``I`` of the class counts.
 
 Parallelization is over spaces, matching the paper's ``for k = 1 …
-|D|×|D| do in parallel``.  The vectorized engine batches the long tail
-of small spaces through a round-synchronous sampler: every active space
-advances one skip per round, which performs the same total work
-Σ(count_s + 1) as per-space loops but in O(max_s count_s) numpy rounds.
+|D|×|D| do in parallel``.  The long tail of small spaces goes through a
+round-synchronous sampler: every active space advances one skip per
+round, which performs the same total work Σ(count_s + 1) as per-space
+loops but in O(max_s count_s) numpy rounds.
 """
 
 from __future__ import annotations
@@ -320,29 +320,8 @@ def generate_edges(
     table = _space_table(np.asarray(P, dtype=np.float64), dist)
     if max_space_size is not None:
         table = split_spaces(table, max_space_size)
-    offsets = dist.class_offsets(config)
-    counts = dist.counts
-    n_spaces = len(table["p"])
-
-    if config.backend == "serial":
-        # straight per-space reference loop
-        rng = config.generator()
-        us: list[np.ndarray] = []
-        vs: list[np.ndarray] = []
-        total_skips = 0
-        for s in range(n_spaces):
-            pos = skip_positions(float(table["p"][s]), int(table["end"][s]), rng)
-            ids = np.full(len(pos), s, dtype=np.int64)
-            uu, vv = _positions_to_edges(ids, pos, table, offsets, counts)
-            us.append(uu)
-            vs.append(vv)
-            total_skips += len(pos) + 1
-        u = np.concatenate(us) if us else np.empty(0, np.int64)
-        v = np.concatenate(vs) if vs else np.empty(0, np.int64)
-    else:
-        rng = config.generator()
-        ids, pos, total_skips = _sample_spaces(table, rng)
-        u, v = _positions_to_edges(ids, pos, table, offsets, counts)
+    ids, pos, total_skips = _sample_spaces(table, config.generator())
+    u, v = _positions_to_edges(ids, pos, table, dist.class_offsets(), dist.counts)
 
     if cost is not None:
         # the span estimate (class scan + per-draw binary search) can

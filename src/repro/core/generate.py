@@ -43,30 +43,46 @@ __all__ = ["GenerationReport", "generate_graph", "generation_fingerprint"]
 
 
 def generation_fingerprint(
-    dist, swap_iterations, config, probability_kwargs=None
+    dist, swap_iterations, config, probabilities=None
 ) -> str:
     """Resume-compatibility fingerprint of a :func:`generate_graph` run.
 
-    It pins the degree distribution, seed, logical thread count,
-    backend, swap budget, and the probability-heuristic options.  The
-    backend is pinned because the serial and vectorized edge generators
-    draw their random streams in different orders, so a run's snapshots
-    resume only on the backend that wrote them.
-    Two runs share a fingerprint exactly when an uninterrupted run would
-    produce bitwise-identical output for both.
+    It pins the degree distribution, seed, swap budget, and the bytes of
+    the class-pair probabilities ``P``: those of ``probabilities`` (a
+    :class:`~repro.core.probabilities.ProbabilityResult`), or of the
+    default heuristic's when it is ``None``.  The logical thread count
+    changes no output, so it is left out.  Two runs share a fingerprint
+    exactly when an uninterrupted run would produce bitwise-identical
+    output for both.
+
+    Raises ``ValueError`` for ``config.seed=None``: such a run draws
+    fresh entropy, so no other run reproduces it.
     """
+    _require_seed(config)
+    if probabilities is None:
+        probabilities = generate_probabilities(dist)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(dist.degrees).tobytes())
     h.update(np.ascontiguousarray(dist.counts).tobytes())
     return run_fingerprint(
         kind="generate",
         dist_sha256=h.hexdigest(),
+        p_sha256=hashlib.sha256(
+            np.ascontiguousarray(probabilities.P, dtype=np.float64).tobytes()
+        ).hexdigest(),
         swap_iterations=int(swap_iterations),
         seed=repr(config.seed),
-        threads=int(config.threads),
-        backend=config.backend,
-        probability_kwargs=repr(sorted((probability_kwargs or {}).items())),
     )
+
+
+def _require_seed(config: ParallelConfig) -> None:
+    """Refuse an unseeded run where its output must be reproducible."""
+    if config.seed is None:
+        raise ValueError(
+            "an unseeded generate_graph run has no fingerprint: with "
+            "seed=None every call draws fresh entropy, so no other run, "
+            "a resume included, reproduces it"
+        )
 
 
 def _sample_memory() -> None:
@@ -118,7 +134,6 @@ def generate_graph(
     swap_iterations: int = 10,
     config: ParallelConfig | None = None,
     probabilities: ProbabilityResult | None = None,
-    probability_kwargs: dict | None = None,
     callback=None,
     mixing_every: int = 0,
     checkpoint_dir=None,
@@ -137,27 +152,28 @@ def generate_graph(
         attachment probabilities to reach steady state; 0 returns the
         biased (but simple) edge-skip output directly.
     probabilities:
-        Pre-computed :class:`ProbabilityResult` to reuse across runs.
-    probability_kwargs:
-        Forwarded to :func:`~repro.core.probabilities.generate_probabilities`.
+        Pre-computed :class:`ProbabilityResult` to reuse across runs, or
+        one computed with non-default heuristic options, e.g.
+        ``generate_probabilities(dist, passes=2)``.
     callback:
         Forwarded to :func:`~repro.core.swap.swap_edges` (per-iteration
         snapshots for mixing studies).
     mixing_every:
         When > 0, sample swap-chain mixing diagnostics every that many
         iterations (see :mod:`repro.obs.mixing`); the trajectory lands in
-        ``report.swap_stats.mixing`` and is bitwise-identical across
-        backends for a fixed seed.
+        ``report.swap_stats.mixing`` and is a pure function of the
+        swap chain's graphs.
     checkpoint_dir:
         Directory (or :class:`~repro.core.checkpoint.CheckpointStore`)
         receiving the swap chain's crash-consistent snapshots.  Requires
-        ``checkpoint_every > 0``.
+        ``checkpoint_every > 0`` and a seed.
     checkpoint_every:
         Swap snapshot cadence in iterations; the final iteration is
         always snapshotted.
     resume_from:
         Checkpoint store/directory of an interrupted run with the same
-        inputs, seed and backend.  Probabilities and edges are
+        inputs, probabilities and seed (see
+        :func:`generation_fingerprint`).  Probabilities and edges are
         recomputed (they are a pure function of the inputs) and the swap
         chain re-enters at the snapshotted round.  The resumed output is
         bitwise-identical to an uninterrupted run; fingerprint
@@ -173,7 +189,8 @@ def generate_graph(
         failing obscurely mid-sampling.
     ValueError
         If only one of ``checkpoint_dir`` and ``checkpoint_every`` is
-        given (checked before any phase runs).
+        given, or if ``checkpoint_dir`` or ``resume_from`` is given
+        without a seed (both checked before any phase runs).
 
     Returns
     -------
@@ -183,18 +200,16 @@ def generate_graph(
     tr = obs_trace.current()
     if tr is None:
         return _generate(
-            dist, swap_iterations, config, probabilities, probability_kwargs,
-            callback, mixing_every, checkpoint_dir, checkpoint_every,
-            resume_from,
+            dist, swap_iterations, config, probabilities, callback,
+            mixing_every, checkpoint_dir, checkpoint_every, resume_from,
         )
     with tr.span(
-        "generate", backend=config.backend, threads=config.threads,
-        n=dist.n, swap_iterations=swap_iterations,
+        "generate", threads=config.threads, n=dist.n,
+        swap_iterations=swap_iterations,
     ) as root:
         out, report = _generate(
-            dist, swap_iterations, config, probabilities, probability_kwargs,
-            callback, mixing_every, checkpoint_dir, checkpoint_every,
-            resume_from,
+            dist, swap_iterations, config, probabilities, callback,
+            mixing_every, checkpoint_dir, checkpoint_every, resume_from,
         )
         root.set(
             degraded=report.degraded, resumed=report.resumed,
@@ -209,7 +224,6 @@ def _generate(
     swap_iterations: int,
     config: ParallelConfig,
     probabilities: ProbabilityResult | None,
-    probability_kwargs: dict | None,
     callback,
     mixing_every: int,
     checkpoint_dir,
@@ -223,16 +237,9 @@ def _generate(
             f"degree distribution is not graphical: {violation}"
         )
     store = _checkpoint_store(checkpoint_dir, checkpoint_every)
-    fingerprint = None
-    resume_snap = None
-    if store is not None or resume_from is not None:
-        fingerprint = generation_fingerprint(
-            dist, swap_iterations, config, probability_kwargs
-        )
-        if resume_from is not None:
-            resume_snap = as_store(resume_from).load_latest(
-                fingerprint=fingerprint
-            )
+    durable = store is not None or resume_from is not None
+    if durable:
+        _require_seed(config)
     cost = CostModel()
     phase_seconds: dict[str, float] = {}
     wall0 = time.perf_counter()
@@ -240,13 +247,22 @@ def _generate(
     t0 = time.perf_counter()
     with _maybe_span("phase:probabilities"):
         if probabilities is None:
-            probabilities = generate_probabilities(
-                dist, cost=cost, **(probability_kwargs or {})
-            )
+            probabilities = generate_probabilities(dist, cost=cost)
     phase_seconds["probabilities"] = time.perf_counter() - t0
     if cost.phases and cost.phases[-1].name == "probabilities":
         cost.phases[-1].seconds = phase_seconds["probabilities"]
     _sample_memory()
+
+    fingerprint = None
+    resume_snap = None
+    if durable:
+        fingerprint = generation_fingerprint(
+            dist, swap_iterations, config, probabilities
+        )
+        if resume_from is not None:
+            resume_snap = as_store(resume_from).load_latest(
+                fingerprint=fingerprint
+            )
 
     t0 = time.perf_counter()
     with _maybe_span("phase:edge_generation"):

@@ -76,11 +76,7 @@ from repro.obs.metrics import record_memory_stats, record_table_stats
 from repro.obs.mixing import MixingProbe, MixingTrajectory
 from repro.parallel.cost_model import CostModel
 from repro.parallel.hashtable import ConcurrentEdgeHashTable, pack_edges
-from repro.parallel.permutation import (
-    PermutationStats,
-    fisher_yates_permutation,
-    parallel_permutation,
-)
+from repro.parallel.permutation import PermutationStats, parallel_permutation
 from repro.parallel.rng import generator_from_seed
 from repro.parallel.runtime import ParallelConfig
 
@@ -195,8 +191,7 @@ _COUNTED_FIELDS = tuple(f.name for f in fields(SwapStats) if f.name != "mixing")
 # re-registration), so the durable state is exactly: the edge arrays, the
 # swapped-at-least-once mask, the driver RNG stream, and the accumulated
 # statistics.  Restoring those four and re-entering the loop at the saved
-# round reproduces the remaining iterations bit for bit — on either
-# backend, because the TestAndSet verdict stream is backend-invariant.
+# round reproduces the remaining iterations bit for bit.
 
 
 def _stats_to_meta(stats: SwapStats | None) -> dict | None:
@@ -252,9 +247,9 @@ def _swap_fingerprint(graph, iterations, config, space, probing) -> str:
     """Resume-compatibility fingerprint of a :func:`swap_edges` run.
 
     Hashes the input edge list plus every parameter that pins the output
-    bits (seed, logical threads, iteration budget, space, probing) —
-    and nothing that doesn't (the backend), so a checkpoint taken on one
-    backend resumes on the other.
+    bits (seed, iteration budget, space, probing) — and nothing that
+    doesn't (the logical thread count), so a checkpoint taken at one
+    thread count resumes at another.
     """
     h = hashlib.sha256()
     h.update(np.int64(graph.n).tobytes())
@@ -266,7 +261,6 @@ def _swap_fingerprint(graph, iterations, config, space, probing) -> str:
         m=int(graph.m),
         iterations=int(iterations),
         seed=repr(config.seed),
-        threads=int(config.threads),
         space=space,
         probing=probing,
     )
@@ -442,8 +436,7 @@ def swap_edges(
         Snapshot cadence in iterations.  Snapshots land at iteration
         boundaries — the only points where the hash table is a pure
         function of the edge array — so no table state is ever
-        serialized, and a snapshot taken on one backend resumes on the
-        other.
+        serialized.
     resume_from:
         A checkpoint store/directory (or an already-loaded
         :class:`~repro.core.checkpoint.Checkpoint`) to resume from.  The
@@ -530,20 +523,10 @@ def swap_edges(
         start_it = resume_state.start_iteration
         if loop_stats is not None:
             loop_stats.merge_from(resume_state.stats)
-    # Both backends produce identical TestAndSet verdicts (set membership
-    # with first-occurrence semantics), so outputs are bitwise identical
-    # for a fixed seed: "vectorized" runs the flat table's batched round
-    # protocol, "serial" its one-key-at-a-time reference.
     table = ConcurrentEdgeHashTable(2 * m + 16, probing=probing)
-    tas = (
-        table.test_and_set_serial
-        if config.backend == "serial"
-        else table.test_and_set
-    )
-    with _maybe_span("swap:chain", backend=config.backend,
-                     iterations=iterations, m=m):
+    with _maybe_span("swap:chain", iterations=iterations, m=m):
         u, v = _swap_loop(
-            u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
+            u, v, swapped, iterations, m, n_pairs, rng, config, table,
             check_duplicates, check_loops, loop_stats, cost, callback, graph.n,
             start_iteration=start_it, checkpointer=ckpt,
             store=run_store, window=window, target_degrees=target_degrees,
@@ -560,7 +543,7 @@ def swap_edges(
 
 
 def _swap_loop(
-    u, v, swapped, iterations, m, n_pairs, rng, config, table, tas,
+    u, v, swapped, iterations, m, n_pairs, rng, config, table,
     check_duplicates, check_loops, stats, cost, callback, n_vertices,
     *,
     start_iteration: int = 0,
@@ -569,7 +552,7 @@ def _swap_loop(
     window: int = 0,
     target_degrees=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-iteration body of :func:`swap_edges` (backend-agnostic).
+    """The per-iteration body of :func:`swap_edges`.
 
     ``start_iteration > 0`` re-enters the loop mid-chain from restored
     checkpoint state; the first resumed iteration always clears and
@@ -649,7 +632,7 @@ def _swap_loop(
                         keys[lo:hi] = pack_edges(u[lo:hi], v[lo:hi])
                 else:
                     keys = pack_edges(u, v)
-            tas(keys)
+            table.test_and_set(keys)
             if tier == "full" and clean_dups:
                 # immediately post-registration is the only point where
                 # the table is exactly the current edge set (failed
@@ -694,12 +677,14 @@ def _swap_loop(
             gk = None
             if check_duplicates:
                 gk = pack_edges(gu, gv)
-                g_present = tas(gk)
+                g_present = table.test_and_set(gk)
                 # short-circuit: h only attempted when g was absent
                 h_try = ~g_present
                 h_present = np.ones(n_pairs, dtype=bool)
                 if h_try.any():
-                    h_present[h_try] = tas(pack_edges(hu[h_try], hv[h_try]))
+                    h_present[h_try] = table.test_and_set(
+                        pack_edges(hu[h_try], hv[h_try])
+                    )
             else:
                 g_present = np.zeros(n_pairs, dtype=bool)
                 h_present = np.zeros(n_pairs, dtype=bool)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.prefix import blocked_prefix_sum, prefix_sum
-from repro.parallel.runtime import ParallelConfig
+from repro.parallel.prefix import prefix_sum
 
 __all__ = [
     "DegreeDistribution",
@@ -175,11 +174,9 @@ class DegreeDistribution:
         """
         return np.repeat(self.degrees, self.counts)
 
-    def class_offsets(self, config: ParallelConfig | None = None) -> np.ndarray:
+    def class_offsets(self) -> np.ndarray:
         """The prefix-sum array ``I``: class k owns ids I[k] … I[k+1]-1."""
-        if config is None:
-            return prefix_sum(self.counts)
-        return blocked_prefix_sum(self.counts, config)
+        return prefix_sum(self.counts)
 
     def class_of_degree(self, degree_values: np.ndarray) -> np.ndarray:
         """Map degree values to class indices; -1 for absent degrees."""

@@ -11,8 +11,8 @@ Three small, composable pieces (see ``docs/observability.md``):
   contention counters.
 - :mod:`repro.obs.mixing` — swap-chain mixing diagnostics (degree
   assortativity, clustering proxy, edge overlap with the start graph),
-  sampled every ``k`` permutation rounds and bitwise-identical across
-  backends.
+  sampled every ``k`` permutation rounds; a pure function of the
+  chain's graphs.
 
 Quickstart::
 

@@ -14,9 +14,10 @@ deterministic structural statistics along the chain, sampled every
 - **edge overlap with start** — |E_t ∩ E_0| / m on canonical packed
   keys; decays from 1.0 toward the overlap of an independent draw.
 
-Every statistic is a pure function of the edge list, so trajectories
-are bitwise-identical across the serial and vectorized backends
-(which produce bitwise-identical chains by construction).
+Every statistic is a pure function of the edge list, so two
+bitwise-identical chains (a resumed run and its uninterrupted twin, or
+the swap chain on its reference kernels) give bitwise-identical
+trajectories.
 """
 
 from __future__ import annotations
@@ -150,9 +151,9 @@ class MixingProbe:
     Records the start graph as iteration 0, then one sample after every
     ``every``-th completed permutation round.  Replays are handled by
     truncation: a sample at iteration ``i`` discards any retained
-    samples at iterations ≥ ``i`` first, so a degraded backend retry
-    (which restarts the chain from round 0) or a checkpoint resume
-    leaves exactly one sample per sampled round.
+    samples at iterations ≥ ``i`` first, so a repair replay from a
+    checkpoint or a checkpoint resume leaves exactly one sample per
+    sampled round.
     """
 
     def __init__(self, start: EdgeList, every: int = 1):

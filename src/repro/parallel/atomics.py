@@ -30,12 +30,6 @@ class ContentionStats:
     failures: int = 0
     rounds: int = 0
 
-    def merge(self, other: "ContentionStats") -> None:
-        """Accumulate ``other`` into this instance."""
-        self.attempts += other.attempts
-        self.failures += other.failures
-        self.rounds += other.rounds
-
     @property
     def failure_rate(self) -> float:
         """Fraction of CAS attempts that were contended."""

@@ -115,9 +115,6 @@ def parallel_permutation(
     if stats is not None:
         stats.n = n
 
-    if config.backend == "serial":
-        return fisher_yates_permutation(array, targets=h)
-
     reservation = np.empty(n, dtype=np.int64)
     remaining = np.arange(n, dtype=np.int64)
     # The smallest uncommitted step always wins both its reservations, so

@@ -1,27 +1,20 @@
-"""Parallel prefix sums (Blelloch two-phase scan).
+"""Prefix sums of the per-degree vertex counts.
 
 Edge-skipping (Algorithm IV.2) needs prefix sums of the per-degree vertex
 counts ``N`` to map class-local offsets to global vertex identifiers; the
-paper budgets ``O(log n)`` parallel time for this.  We implement the
-classic blocked two-phase scan: each thread scans its chunk, the chunk
-totals are scanned (the ``O(log p)`` tree step, done directly here since
-``p`` is tiny), and each thread adds its offset back.  The blocked
-structure is real — the per-chunk partial sums are materialized exactly as
-a p-thread execution would produce them — which the cost model uses to
-charge ``O(n)`` work and ``O(n/p + log p)`` depth.
+paper budgets ``O(log n)`` parallel time for this.  The scan runs over
+``|D|`` class counts, so one ``np.cumsum`` is all it takes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.runtime import ParallelConfig, chunk_bounds
-
-__all__ = ["prefix_sum", "blocked_prefix_sum"]
+__all__ = ["prefix_sum"]
 
 
 def prefix_sum(values: np.ndarray, *, exclusive: bool = True) -> np.ndarray:
-    """Serial reference scan.
+    """Prefix sum of a 1-D array.
 
     With ``exclusive=True`` (default) returns ``out[i] = sum(values[:i])``
     and has length ``len(values) + 1`` so that ``out[-1]`` is the total —
@@ -35,54 +28,3 @@ def prefix_sum(values: np.ndarray, *, exclusive: bool = True) -> np.ndarray:
         np.cumsum(values, out=out[1:])
         return out
     return np.cumsum(values)
-
-
-def blocked_prefix_sum(
-    values: np.ndarray,
-    config: ParallelConfig | None = None,
-    *,
-    exclusive: bool = True,
-) -> np.ndarray:
-    """Blelloch-style blocked scan executed with the p-chunk structure.
-
-    Produces output identical to :func:`prefix_sum`; the computation is
-    organized as ``p`` independent chunk scans + a scan over chunk totals,
-    which is the parallel execution pattern being modeled.
-    """
-    config = config or ParallelConfig()
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError("blocked_prefix_sum expects a 1-D array")
-    n = len(values)
-    p = min(config.threads, max(n, 1))
-    dtype = np.int64 if values.dtype.kind in "iu" else values.dtype
-
-    if config.backend == "serial" or n == 0:
-        return prefix_sum(values, exclusive=exclusive)
-
-    bounds = chunk_bounds(n, p)
-    out = np.empty(n + 1 if exclusive else n, dtype=dtype)
-
-    # Phase 1: independent chunk scans (one per thread).
-    totals = np.zeros(p, dtype=dtype)
-    local = np.empty(n, dtype=dtype)
-    for k in range(p):
-        lo, hi = bounds[k], bounds[k + 1]
-        np.cumsum(values[lo:hi], out=local[lo:hi])
-        totals[k] = local[hi - 1] if hi > lo else 0
-
-    # Phase 2: exclusive scan over the p chunk totals (the tree step).
-    offsets = np.zeros(p, dtype=dtype)
-    np.cumsum(totals[:-1], out=offsets[1:])
-
-    # Phase 3: each thread adds its offset back.
-    for k in range(p):
-        lo, hi = bounds[k], bounds[k + 1]
-        local[lo:hi] += offsets[k]
-
-    if exclusive:
-        out[0] = 0
-        out[1:] = local
-    else:
-        out[:] = local
-    return out

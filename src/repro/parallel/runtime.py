@@ -1,15 +1,12 @@
 """Parallel execution configuration and loop partitioning.
 
 Every parallel entry point in the library accepts a
-:class:`ParallelConfig`.  It pins down three things:
+:class:`ParallelConfig`.  Two of its fields reach every one of them:
 
-- ``threads`` — the logical thread count *p*.  The vectorized engine uses
-  it to partition iteration spaces exactly as a static OpenMP schedule
-  would, and the cost model uses it to turn work accounting into
-  simulated p-thread time.
-- ``backend`` — ``"vectorized"`` (default; numpy kernels executing the
-  parallel round structure) or ``"serial"`` (straight-line reference
-  implementations used for validation).
+- ``threads`` — the logical thread count *p*.  The engine uses it to
+  partition iteration spaces exactly as a static OpenMP schedule would,
+  and the cost model uses it to turn work accounting into simulated
+  p-thread time.
 - ``seed`` — base seed for reproducible per-thread streams.
 
 The module also provides the static chunk partitioner shared by all
@@ -21,7 +18,7 @@ random stream per chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -30,12 +27,8 @@ from repro.parallel.rng import generator_from_seed, spawn_generators
 __all__ = [
     "ParallelConfig",
     "chunk_bounds",
-    "chunk_views",
     "chunk_map",
-    "BACKENDS",
 ]
-
-BACKENDS = ("vectorized", "serial")
 
 
 @dataclass(frozen=True)
@@ -48,8 +41,6 @@ class ParallelConfig:
         Logical thread count *p* (≥ 1).  Partitions iteration spaces and
         parameterizes the cost model.  Defaults to 16, matching the
         single-node core count used throughout the paper's evaluation.
-    backend:
-        One of ``"vectorized"``, ``"serial"``.
     seed:
         Base seed; ``None`` draws fresh entropy.
     memory_budget_bytes:
@@ -71,7 +62,6 @@ class ParallelConfig:
     """
 
     threads: int = 16
-    backend: str = "vectorized"
     seed: object = None
     memory_budget_bytes: int = 0
     verify: str = "off"
@@ -79,10 +69,6 @@ class ParallelConfig:
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         if self.memory_budget_bytes < 0:
             raise ValueError(
                 f"memory_budget_bytes must be >= 0, got {self.memory_budget_bytes}"
@@ -98,17 +84,9 @@ class ParallelConfig:
         """A single generator derived from :attr:`seed`."""
         return generator_from_seed(self.seed)
 
-    def thread_generators(self) -> list[np.random.Generator]:
-        """One independent generator per logical thread."""
-        return spawn_generators(self.seed, self.threads)
-
     def with_seed(self, seed) -> "ParallelConfig":
         """Copy of this config with a different seed."""
         return replace(self, seed=seed)
-
-    def with_threads(self, threads: int) -> "ParallelConfig":
-        """Copy of this config with a different thread count."""
-        return replace(self, threads=threads)
 
 
 def chunk_bounds(n: int, chunks: int) -> np.ndarray:
@@ -129,13 +107,6 @@ def chunk_bounds(n: int, chunks: int) -> np.ndarray:
     bounds = np.zeros(chunks + 1, dtype=np.int64)
     np.cumsum(sizes, out=bounds[1:])
     return bounds
-
-
-def chunk_views(array: np.ndarray, chunks: int) -> Iterator[np.ndarray]:
-    """Yield the per-chunk views of ``array`` under the static schedule."""
-    bounds = chunk_bounds(len(array), chunks)
-    for k in range(chunks):
-        yield array[bounds[k] : bounds[k + 1]]
 
 
 def chunk_map(

@@ -8,14 +8,8 @@ from repro import DegreeDistribution, EdgeList, ParallelConfig
 
 @pytest.fixture
 def cfg() -> ParallelConfig:
-    """Default vectorized configuration with a fixed seed."""
-    return ParallelConfig(threads=4, backend="vectorized", seed=123)
-
-
-@pytest.fixture
-def serial_cfg() -> ParallelConfig:
-    """Serial reference configuration with the same seed."""
-    return ParallelConfig(threads=1, backend="serial", seed=123)
+    """Default configuration with a fixed seed."""
+    return ParallelConfig(threads=4, seed=123)
 
 
 @pytest.fixture

@@ -3,16 +3,18 @@
 The durability tentpole's invariants:
 
 - a resumed run is **bitwise-identical** to an uninterrupted run with the
-  same seed — on the serial and vectorized backends, and, for
-  ``swap_edges``, when resuming a checkpoint taken on the *other* backend
-  (``generate_graph`` refuses that: its edge generators differ by
-  backend);
+  same seed — also when the snapshot was taken at another thread count,
+  and, for ``swap_edges``, on the reference kernels
+  (:func:`tests.drills.use_reference_engine`) or across them;
+- a resume is refused when the fingerprints differ: another seed, swap
+  budget or probabilities; ``generate_graph`` refuses an unseeded
+  durable run outright;
 - checkpoint writes are atomic: a snapshot truncated at any byte is
   detected by its checksum and the previous snapshot is used instead;
 - the parent-SIGKILL drill (a driver subprocess that wraps
   ``CheckpointStore.save`` and kills itself after a chosen durable
   write) proves the whole story end to end, for ``swap_edges`` and
-  ``generate_graph`` drivers on both backends;
+  ``generate_graph`` drivers;
 - a store cleans up after itself: the torn-write drill (the driver
   killed halfway through a payload write) resumes bit for bit, and the
   resumed run's saves leave no temporary and no more than ``keep``
@@ -38,11 +40,12 @@ from repro.core.checkpoint import (
     run_fingerprint,
 )
 from repro.core.generate import generate_graph, generation_fingerprint
+from repro.core.probabilities import generate_probabilities
 from repro.core.swap import SwapStats, _stats_from_meta, _stats_to_meta, swap_edges
 from repro.graph.degree import DegreeDistribution, NonGraphicalError
 from repro.graph.edgelist import EdgeList
 from repro.parallel.runtime import ParallelConfig
-from tests.drills import durable_run
+from tests.drills import durable_run, use_reference_engine
 
 ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 SRC = os.path.join(ROOT, "src")
@@ -199,27 +202,41 @@ class TestRunFingerprint:
     def test_sensitive_to_values(self):
         assert run_fingerprint(seed=1) != run_fingerprint(seed=2)
 
-    def test_generation_fingerprint_pins_seed_budget_backend(self):
+    def test_generation_fingerprint_pins_seed_budget_probabilities(self):
         dist = DegreeDistribution((1, 2), (4, 2))
-        cfg = ParallelConfig(threads=4, backend="vectorized", seed=7)
+        cfg = ParallelConfig(threads=4, seed=7)
         base = generation_fingerprint(dist, 3, cfg)
         assert generation_fingerprint(dist, 4, cfg) != base
         assert generation_fingerprint(
             dist, 3, dataclasses.replace(cfg, seed=8)) != base
         assert generation_fingerprint(
-            dist, 3, dataclasses.replace(cfg, backend="serial")) != base
+            dist, 3, dataclasses.replace(cfg, threads=9)) == base
+        halved = generate_probabilities(dist, allocation="halved")
+        assert generation_fingerprint(dist, 3, cfg, halved) != base
+        # no probabilities means the default heuristic's
+        assert generation_fingerprint(
+            dist, 3, cfg, generate_probabilities(dist)) == base
+
+    def test_generation_fingerprint_refuses_unseeded(self):
+        """An unseeded run draws fresh entropy: no fingerprint names it."""
+        with pytest.raises(ValueError, match="seed"):
+            generation_fingerprint(
+                DegreeDistribution((1, 2), (4, 2)), 3, ParallelConfig())
 
     def test_equal_generation_fingerprints_mean_equal_graphs(self):
-        """Over both backends and two seeds, two runs share a fingerprint
-        exactly when their graphs are bitwise-equal (the edge generators
-        of the two backends draw in different orders)."""
+        """Over two seeds, two thread counts and two probability
+        heuristics, two runs share a fingerprint exactly when their
+        graphs are bitwise-equal."""
         dist = DegreeDistribution([1, 2, 3, 6], [400, 240, 100, 40])
         runs = []
-        for backend in ("serial", "vectorized"):
-            for seed in (11, 12):
-                cfg = ParallelConfig(threads=2, seed=seed, backend=backend)
-                out, _ = generate_graph(dist, swap_iterations=2, config=cfg)
-                runs.append((generation_fingerprint(dist, 2, cfg), out))
+        for probs in (None, generate_probabilities(dist, allocation="halved")):
+            for threads in (2, 8):
+                for seed in (11, 12):
+                    cfg = ParallelConfig(threads=threads, seed=seed)
+                    out, _ = generate_graph(dist, swap_iterations=2,
+                                            config=cfg, probabilities=probs)
+                    runs.append((generation_fingerprint(dist, 2, cfg, probs), out))
+        assert len({f for f, _ in runs}) == 4
         for fa, a in runs:
             for fb, b in runs:
                 same = np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
@@ -228,9 +245,11 @@ class TestRunFingerprint:
 
 class TestSwapResume:
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
-    def test_resume_bitwise_identical(self, tmp_path, backend):
+    def test_resume_bitwise_identical(self, tmp_path, backend, monkeypatch):
+        if backend == "serial":
+            use_reference_engine(monkeypatch)
         g = _graph()
-        cfg = ParallelConfig(seed=42, threads=2, backend=backend)
+        cfg = ParallelConfig(seed=42, threads=2)
         ref_stats = SwapStats()
         ref = swap_edges(g, 8, cfg, stats=ref_stats)
 
@@ -253,27 +272,52 @@ class TestSwapResume:
     @pytest.mark.parametrize(
         "take,resume", [("serial", "vectorized"), ("vectorized", "serial")]
     )
-    def test_cross_backend_resume(self, tmp_path, take, resume):
-        """A checkpoint taken on one backend resumes on the other bit for
-        bit."""
+    def test_cross_backend_resume(self, tmp_path, take, resume, monkeypatch):
+        """A checkpoint taken on one engine (``serial``: the reference
+        kernels) resumes on the other bit for bit."""
         g = _graph(seed=3)
-        ref = swap_edges(g, 6, ParallelConfig(seed=9, threads=2, backend=take))
-        swap_edges(
-            g,
-            6,
-            ParallelConfig(seed=9, threads=2, backend=take),
-            checkpoint_dir=tmp_path,
-            checkpoint_every=2,
-        )
+        cfg = ParallelConfig(seed=9, threads=2)
+        with monkeypatch.context() as mp:
+            if take == "serial":
+                use_reference_engine(mp)
+            ref = swap_edges(g, 6, cfg)
+            swap_edges(g, 6, cfg, checkpoint_dir=tmp_path, checkpoint_every=2)
         _drop_newest(tmp_path, 1)
-        out = swap_edges(
-            g,
-            6,
-            ParallelConfig(seed=9, threads=2, backend=resume),
-            resume_from=tmp_path,
-        )
+        if resume == "serial":
+            use_reference_engine(monkeypatch)
+        out = swap_edges(g, 6, cfg, resume_from=tmp_path)
         np.testing.assert_array_equal(out.u, ref.u)
         np.testing.assert_array_equal(out.v, ref.v)
+
+    def test_resume_across_thread_counts(self, tmp_path):
+        """The thread count changes no output, so a snapshot taken at
+        ``threads=2`` resumes at ``threads=8`` bit for bit."""
+        g = _graph(seed=4)
+        ref_stats = SwapStats()
+        ref = swap_edges(g, 6, ParallelConfig(seed=9, threads=8),
+                         stats=ref_stats)
+        swap_edges(g, 6, ParallelConfig(seed=9, threads=2),
+                   checkpoint_dir=tmp_path, checkpoint_every=2)
+        _drop_newest(tmp_path, 1)
+        res_stats = SwapStats()
+        out = swap_edges(g, 6, ParallelConfig(seed=9, threads=8),
+                         stats=res_stats, resume_from=tmp_path)
+        np.testing.assert_array_equal(out.u, ref.u)
+        np.testing.assert_array_equal(out.v, ref.v)
+        assert res_stats == ref_stats
+
+    def test_unseeded_run_resumes(self, tmp_path):
+        """An unseeded chain's snapshot carries its RNG state and its
+        fingerprint hashes the input edges, so a resume continues the
+        same chain."""
+        g = _graph(seed=6)
+        cfg = ParallelConfig(threads=2)
+        full = swap_edges(g, 6, cfg, checkpoint_dir=tmp_path,
+                          checkpoint_every=1)
+        _drop_newest(tmp_path, 2)
+        res = swap_edges(g, 6, cfg, resume_from=tmp_path)
+        np.testing.assert_array_equal(res.u, full.u)
+        np.testing.assert_array_equal(res.v, full.v)
 
     def test_resume_from_every_retained_round(self, tmp_path):
         g = _graph(seed=5)
@@ -436,11 +480,11 @@ class TestGenerateResume:
         assert report.resumed
         assert report.swap_stats == ref_report.swap_stats
 
-    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
-    @pytest.mark.parametrize("lost", [0, 2], ids=["final-round", "mid-swap"])
-    def test_resume_matches_uninterrupted(self, tmp_path, small_dist, backend,
-                                          lost):
-        cfg = ParallelConfig(seed=13, threads=2, backend=backend)
+    @pytest.mark.parametrize(
+        "lost", [0, 2], ids=["final-round-vectorized", "mid-swap-vectorized"]
+    )
+    def test_resume_matches_uninterrupted(self, tmp_path, small_dist, lost):
+        cfg = ParallelConfig(seed=13, threads=2)
         ref, ref_report = generate_graph(small_dist, swap_iterations=6, config=cfg)
         generate_graph(small_dist, swap_iterations=6, config=cfg,
                        checkpoint_dir=tmp_path, checkpoint_every=1)
@@ -453,25 +497,41 @@ class TestGenerateResume:
         np.testing.assert_array_equal(res.v, ref.v)
         assert report.swap_stats == ref_report.swap_stats
 
-    @pytest.mark.parametrize(
-        "take,resume", [("serial", "vectorized"), ("vectorized", "serial")]
-    )
-    def test_cross_backend_resume_refused(self, tmp_path, small_dist, take,
-                                          resume):
-        """The backends' edge generators differ, so a generation run's
-        snapshots resume only on the backend that wrote them."""
+    def test_resume_across_thread_counts(self, tmp_path, small_dist):
+        """A snapshot taken at ``threads=2`` resumes at ``threads=8`` and
+        matches the uninterrupted ``threads=8`` run bit for bit."""
+        ref, ref_report = generate_graph(
+            small_dist, swap_iterations=6,
+            config=ParallelConfig(seed=13, threads=8),
+        )
+        generate_graph(small_dist, swap_iterations=6,
+                       config=ParallelConfig(seed=13, threads=2),
+                       checkpoint_dir=tmp_path, checkpoint_every=1)
+        _drop_newest(tmp_path, 2)
+        res, report = generate_graph(
+            small_dist, swap_iterations=6,
+            config=ParallelConfig(seed=13, threads=8), resume_from=tmp_path,
+        )
+        assert report.resumed
+        np.testing.assert_array_equal(res.u, ref.u)
+        np.testing.assert_array_equal(res.v, ref.v)
+        assert report.swap_stats == ref_report.swap_stats
+
+    def test_resume_with_other_probabilities_refused(self, tmp_path,
+                                                     small_dist):
+        """Other probabilities draw other edges: their snapshots belong to
+        a different run."""
+        cfg = ParallelConfig(seed=9, threads=2)
         generate_graph(
-            small_dist, swap_iterations=4,
-            config=ParallelConfig(seed=9, threads=2, backend=take),
+            small_dist, swap_iterations=4, config=cfg,
+            probabilities=generate_probabilities(small_dist,
+                                                 allocation="halved"),
             checkpoint_dir=tmp_path, checkpoint_every=1,
         )
         _drop_newest(tmp_path, 1)
-        with pytest.raises(CheckpointMismatchError):
-            generate_graph(
-                small_dist, swap_iterations=4,
-                config=ParallelConfig(seed=9, threads=2, backend=resume),
-                resume_from=tmp_path,
-            )
+        with pytest.raises(CheckpointMismatchError, match="different run"):
+            generate_graph(small_dist, swap_iterations=4, config=cfg,
+                           resume_from=tmp_path)
 
     def test_checkpoint_dir_requires_cadence(self, tmp_path, small_dist,
                                              monkeypatch):
@@ -490,6 +550,25 @@ class TestGenerateResume:
         with pytest.raises(ValueError, match="requires checkpoint_dir"):
             generate_graph(small_dist, swap_iterations=1, config=cfg,
                            checkpoint_every=1)
+        assert os.listdir(tmp_path) == []
+
+    def test_unseeded_durable_run_refused(self, tmp_path, small_dist,
+                                          monkeypatch):
+        """An unseeded run would redraw its edges from fresh entropy on
+        resume: refused before any phase runs."""
+
+        def no_phase(*args, **kwargs):
+            raise AssertionError("a phase ran")
+
+        monkeypatch.setattr(
+            "repro.core.generate.generate_probabilities", no_phase)
+        cfg = ParallelConfig(threads=2)
+        with pytest.raises(ValueError, match="seed"):
+            generate_graph(small_dist, swap_iterations=1, config=cfg,
+                           checkpoint_dir=tmp_path, checkpoint_every=1)
+        with pytest.raises(ValueError, match="seed"):
+            generate_graph(small_dist, swap_iterations=1, config=cfg,
+                           resume_from=tmp_path)
         assert os.listdir(tmp_path) == []
 
     def test_resumed_mixing_samples_match_uninterrupted(self, tmp_path):
@@ -525,10 +604,10 @@ DRILL_SCRIPT = textwrap.dedent(
     from repro.core.swap import _stats_to_meta
     from tests.drills import durable_run, kill_after_save
 
-    driver, backend, store, out_path = sys.argv[1:5]
-    if len(sys.argv) > 5:
-        kill_after_save(int(sys.argv[5]))
-    out, stats = durable_run(driver, backend, store)
+    driver, store, out_path = sys.argv[1:4]
+    if len(sys.argv) > 4:
+        kill_after_save(int(sys.argv[4]))
+    out, stats = durable_run(driver, store)
     np.savez(out_path, u=out.u, v=out.v,
              stats=json.dumps(_stats_to_meta(stats)))
     """
@@ -539,30 +618,27 @@ DRILL_SCRIPT = textwrap.dedent(
 #: instead of right after a save
 TORN_WRITE_SCRIPT = DRILL_SCRIPT.replace("kill_after_save", "tear_write_and_die")
 
-#: ``(driver, backend)`` of the drills; a ``swap_edges`` drill is named by
-#: its backend alone
+#: the drills' drivers; a ``swap_edges`` drill is named by its engine alone
 DRIVERS = [
-    pytest.param("swap", "serial", id="serial"),
-    pytest.param("swap", "vectorized", id="vectorized"),
-    pytest.param("generate", "serial", id="generate-serial"),
-    pytest.param("generate", "vectorized", id="generate-vectorized"),
+    pytest.param("swap", id="vectorized"),
+    pytest.param("generate", id="generate-vectorized"),
 ]
 
 
-def _drill(tmp_path, script, driver, backend, *argv, **env):
+def _drill(tmp_path, script, driver, *argv, **env):
     """Run a drill driver against ``tmp_path``'s store and output file."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]), **env)
     return subprocess.run(
-        [sys.executable, "-c", script, driver, backend,
+        [sys.executable, "-c", script, driver,
          str(tmp_path / "store"), str(tmp_path / "out.npz"), *argv],
         env=env, capture_output=True, timeout=120,
     )
 
 
-def _assert_matches_uninterrupted(out_path, driver, backend) -> None:
+def _assert_matches_uninterrupted(out_path, driver) -> None:
     """The drill's output bits and ``SwapStats`` equal an uninterrupted
     run's."""
-    ref, ref_stats = durable_run(driver, backend)
+    ref, ref_stats = durable_run(driver)
     with np.load(out_path) as data:
         np.testing.assert_array_equal(data["u"], ref.u)
         np.testing.assert_array_equal(data["v"], ref.v)
@@ -572,10 +648,10 @@ def _assert_matches_uninterrupted(out_path, driver, backend) -> None:
 class TestParentKillDrill:
     """SIGKILL the driver mid-swap; the resumed run must match bit for bit."""
 
-    def _run_drill(self, tmp_path, driver, backend, kill_after):
+    def _run_drill(self, tmp_path, driver, kill_after):
         """SIGKILL the driver after its (``kill_after`` + 1)-th durable
         save, then relaunch it."""
-        first = _drill(tmp_path, DRILL_SCRIPT, driver, backend, str(kill_after))
+        first = _drill(tmp_path, DRILL_SCRIPT, driver, str(kill_after))
         assert first.returncode == -signal.SIGKILL, (
             f"driver survived the kill drill: rc={first.returncode}\n"
             + first.stderr.decode()
@@ -584,22 +660,21 @@ class TestParentKillDrill:
         snap = CheckpointStore(tmp_path / "store").load_latest()
         assert snap is not None, "no durable snapshot before the kill"
         assert (snap.phase, snap.swap_round) == ("swap", kill_after + 1)
-        second = _drill(tmp_path, DRILL_SCRIPT, driver, backend)
+        second = _drill(tmp_path, DRILL_SCRIPT, driver)
         assert second.returncode == 0, second.stderr.decode()
-        _assert_matches_uninterrupted(tmp_path / "out.npz", driver, backend)
+        _assert_matches_uninterrupted(tmp_path / "out.npz", driver)
 
-    @pytest.mark.parametrize("driver,backend", DRIVERS)
-    def test_sigkilled_run_resumes_bitwise_identical(self, tmp_path, driver,
-                                                     backend):
-        self._run_drill(tmp_path, driver, backend, 2)
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_sigkilled_run_resumes_bitwise_identical(self, tmp_path, driver):
+        self._run_drill(tmp_path, driver, 2)
 
     def test_kill_after_first_checkpoint(self, tmp_path):
-        self._run_drill(tmp_path, "swap", "vectorized", 0)
+        self._run_drill(tmp_path, "swap", 0)
 
     def test_fault_env_var_has_no_effect(self, tmp_path):
         """The library reads no fault plan from the environment: a durable
         run with the retired ``REPRO_FAULTS`` set finishes normally."""
-        run = _drill(tmp_path, DRILL_SCRIPT, "swap", "vectorized",
+        run = _drill(tmp_path, DRILL_SCRIPT, "swap",
                      REPRO_FAULTS="parentkill:checkpoint:0")
         assert run.returncode == 0, run.stderr.decode()
         assert (tmp_path / "out.npz").exists()
@@ -614,20 +689,20 @@ class TestTornWriteDrill:
     neither behind.
     """
 
-    @pytest.mark.parametrize("driver,backend", DRIVERS)
-    def test_resume_after_torn_write_leaves_clean_store(self, tmp_path, driver,
-                                                        backend):
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_resume_after_torn_write_leaves_clean_store(self, tmp_path,
+                                                        driver):
         store = tmp_path / "store"
         # three payloads per swap save: the 8th write is seq 2's ``v``
-        first = _drill(tmp_path, TORN_WRITE_SCRIPT, driver, backend, "7")
+        first = _drill(tmp_path, TORN_WRITE_SCRIPT, driver, "7")
         assert first.returncode == -signal.SIGKILL, first.stderr.decode()
         left = os.listdir(store)
         assert [f for f in left if f.startswith(".tmp-")], left
         assert "snap-00000002-u.raw" in left and "snap-00000002.json" not in left
 
-        second = _drill(tmp_path, TORN_WRITE_SCRIPT, driver, backend)
+        second = _drill(tmp_path, TORN_WRITE_SCRIPT, driver)
         assert second.returncode == 0, second.stderr.decode()
-        _assert_matches_uninterrupted(tmp_path / "out.npz", driver, backend)
+        _assert_matches_uninterrupted(tmp_path / "out.npz", driver)
         names = os.listdir(store)
         assert not [f for f in names if f.startswith(".tmp-")], names
         manifests = {f[:-5] for f in names if f.endswith(".json")}

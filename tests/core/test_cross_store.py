@@ -2,13 +2,14 @@
 
 The out-of-core engine's contract is that spilling changes *where*
 bytes live, never what they are: for a fixed seed and config, a run
-whose swap phase spills, on either backend, reproduces the in-RAM run's
-edge arrays bit for bit, and its swapped-at-least-once fractions.  The matrix here is the enforcement:
+whose swap phase spills, on the default swap kernels or on their
+references (``serial``, :func:`tests.drills.use_reference_engine`),
+reproduces the in-RAM run's edge arrays bit for bit, and its
+swapped-at-least-once fractions.  The matrix here is the enforcement:
 (serial | vectorized) × (no budget | one byte under the swap working set
 | a one-byte budget), all compared against the in-RAM baseline of the
 same cell.  The near-working-set budget is derived from the edge count
-the baseline generated, so it spills on either backend, and each
-budgeted row asserts that it did spill.
+the baseline generated, and each budgeted row asserts that it did spill.
 """
 
 import os
@@ -22,6 +23,7 @@ from repro.core.storage import swap_working_set_bytes
 from repro.graph.degree import DegreeDistribution
 from repro.obs import RunTrace
 from repro.parallel.runtime import ParallelConfig
+from tests.drills import use_reference_engine
 
 
 @pytest.fixture(autouse=True)
@@ -35,13 +37,15 @@ def _dist():
 
 class TestCrossStoreMatrix:
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
-    def test_store_never_changes_the_graph(self, backend):
+    def test_store_never_changes_the_graph(self, backend, monkeypatch):
+        if backend == "serial":
+            use_reference_engine(monkeypatch)
         dist = _dist()
-        cfg = ParallelConfig(threads=2, backend=backend, seed=5)
+        cfg = ParallelConfig(threads=2, seed=5)
         baseline, base_report = generate_graph(dist, swap_iterations=2, config=cfg)
         # memory budgets of the spilled rows: one byte under the baseline's
-        # swap working set (the largest budget that still spills; the edge
-        # count depends on the backend), and one byte
+        # swap working set (the largest budget that still spills), and one
+        # byte
         for budget in (swap_working_set_bytes(baseline.m) - 1, 1):
             with RunTrace() as tr:
                 out, report = generate_graph(
@@ -66,20 +70,20 @@ class TestCrossStoreMatrix:
     def test_mmap_run_leaves_no_spill_files(self, tmp_path):
         """Spill files are anonymous: a spilled run never names one."""
         dist = _dist()
-        cfg = ParallelConfig(threads=2, backend="vectorized", seed=5,
-                             memory_budget_bytes=1)
+        cfg = ParallelConfig(threads=2, seed=5, memory_budget_bytes=1)
         generate_graph(dist, swap_iterations=1, config=cfg)
         assert os.listdir(tmp_path / "spill") == []
 
-    @pytest.mark.parametrize("backend", ["vectorized"])
-    def test_resume_crosses_stores(self, tmp_path, backend):
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_resume_crosses_stores(self, tmp_path, backend, monkeypatch):
         """A checkpoint taken by a spilled run resumes correctly without
-        a budget — where arrays live is execution detail, like
-        backends."""
+        a budget — where arrays live is execution detail, like the
+        thread count."""
+        if backend == "serial":
+            use_reference_engine(monkeypatch)
         dist = _dist()
         ref, _ = generate_graph(
-            dist, swap_iterations=4,
-            config=ParallelConfig(threads=2, backend=backend, seed=9),
+            dist, swap_iterations=4, config=ParallelConfig(threads=2, seed=9),
         )
 
         class Stop(Exception):
@@ -90,14 +94,13 @@ class TestCrossStoreMatrix:
                 raise Stop()
 
         ckpt = tmp_path / "ckpt"
-        mmap_cfg = ParallelConfig(threads=2, backend=backend, seed=9,
-                                  memory_budget_bytes=1)
+        mmap_cfg = ParallelConfig(threads=2, seed=9, memory_budget_bytes=1)
         with pytest.raises(Stop):
             generate_graph(
                 dist, swap_iterations=4, config=mmap_cfg,
                 checkpoint_dir=ckpt, checkpoint_every=1, callback=bail,
             )
-        ram_cfg = ParallelConfig(threads=2, backend=backend, seed=9)
+        ram_cfg = ParallelConfig(threads=2, seed=9)
         out, report = generate_graph(
             dist, swap_iterations=4, config=ram_cfg,
             checkpoint_dir=ckpt, checkpoint_every=1, resume_from=ckpt,

@@ -193,26 +193,6 @@ class TestGenerateEdges:
         with pytest.raises(ValueError):
             generate_edges(P, small_dist, ParallelConfig(seed=0))
 
-    def test_serial_backend_simple_output(self, small_dist):
-        P = self.full_matrix(small_dist) * 0.4
-        g = generate_edges(P, small_dist, ParallelConfig(seed=3, backend="serial"))
-        assert g.is_simple()
-
-    def test_backends_statistically_consistent(self, small_dist):
-        """Both backends draw from the same distribution."""
-        P = self.full_matrix(small_dist) * 0.35
-        sizes = {}
-        for backend in ("vectorized", "serial"):
-            sizes[backend] = np.mean(
-                [
-                    generate_edges(
-                        P, small_dist, ParallelConfig(seed=s, backend=backend)
-                    ).m
-                    for s in range(120)
-                ]
-            )
-        assert abs(sizes["vectorized"] - sizes["serial"]) < 6.0
-
     def test_vertices_stay_in_their_class(self, small_dist):
         """Edges from space (i, j) must join class-i and class-j vertices."""
         k = small_dist.n_classes

@@ -51,15 +51,6 @@ class TestEndToEnd:
         )
         assert report.probabilities is prob
 
-    def test_probability_kwargs_forwarded(self, small_dist, cfg):
-        _, report = generate_graph(
-            small_dist,
-            swap_iterations=0,
-            config=cfg,
-            probability_kwargs={"passes": 2},
-        )
-        assert report.probabilities is not None
-
     def test_callback_forwarded(self, small_dist, cfg):
         seen = []
         generate_graph(
@@ -102,8 +93,3 @@ class TestEndToEnd:
         mean_deg = acc / (runs * skewed_dist.counts)
         rel = np.abs(mean_deg - skewed_dist.degrees) / skewed_dist.degrees
         assert rel.mean() < 0.12
-
-    def test_serial_backend_end_to_end(self, small_dist):
-        cfg = ParallelConfig(threads=1, backend="serial", seed=11)
-        g, _ = generate_graph(small_dist, swap_iterations=2, config=cfg)
-        assert g.is_simple()

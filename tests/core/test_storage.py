@@ -228,9 +228,7 @@ DRILL_SCRIPT = textwrap.dedent(
     if len(sys.argv) > 3:
         kill_after_save(int(sys.argv[3]))
     dist = DegreeDistribution(degrees=[1, 2, 3, 6], counts=[60, 40, 20, 4])
-    cfg = ParallelConfig(
-        seed=42, threads=2, backend="vectorized", memory_budget_bytes=1 << 12,
-    )
+    cfg = ParallelConfig(seed=42, threads=2, memory_budget_bytes=1 << 12)
     out, report = generate_graph(
         dist, swap_iterations=6, config=cfg,
         checkpoint_dir=ckpt_dir, checkpoint_every=1, resume_from=ckpt_dir,
@@ -248,7 +246,7 @@ class TestMmapSigkillResume:
         dist = _dist()
         ref, _ = generate_graph(
             dist, swap_iterations=6,
-            config=ParallelConfig(seed=42, threads=2, backend="vectorized"),
+            config=ParallelConfig(seed=42, threads=2),
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]),
                    REPRO_SPILL_DIR=str(_isolated_spill_dir))
@@ -285,13 +283,11 @@ class TestTinyBudgetProperty:
         from repro.obs import RunTrace
 
         dist = _dist()
-        ram_cfg = ParallelConfig(threads=2, backend="vectorized", seed=seed)
+        ram_cfg = ParallelConfig(threads=2, seed=seed)
         ref, _ = generate_graph(dist, swap_iterations=1, config=ram_cfg)
         assert swap_working_set_bytes(ref.m) > budget  # premise of the test
-        tiny_cfg = ParallelConfig(
-            threads=2, backend="vectorized", seed=seed,
-            memory_budget_bytes=budget,
-        )
+        tiny_cfg = ParallelConfig(threads=2, seed=seed,
+                                  memory_budget_bytes=budget)
         with RunTrace() as tr:
             out, _ = generate_graph(dist, swap_iterations=1, config=tiny_cfg)
             hist = tr.metrics.histograms.get("store.bytes_mapped")

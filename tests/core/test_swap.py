@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.swap import SwapStats, serial_swap_chain, swap_edges
 from repro.graph.edgelist import EdgeList
 from repro.parallel.runtime import ParallelConfig
+from tests.drills import use_reference_engine
 
 
 def random_simple_graph(n, m, seed):
@@ -387,8 +388,9 @@ class TestSwapStatsAccumulation:
 
 
 #: every SwapStats field of a fixed 4-pass run (the counters shared by both
-#: backends, then each backend's table and permutation counters) and the
-#: first 16 hex digits of the SHA-256 of the output's ``u`` then ``v`` bytes
+#: engines, then each engine's table and permutation counters; the
+#: reference kernels keep none) and the first 16 hex digits of the SHA-256
+#: of the output's ``u`` then ``v`` bytes
 SWAP_GOLDEN_SHARED = {
     "iterations": 4,
     "proposed": 600,
@@ -411,10 +413,12 @@ class TestSwapStatsGolden:
     they pin the batched TestAndSet and the reservation permutation."""
 
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
-    def test_every_field_pinned(self, backend):
+    def test_every_field_pinned(self, backend, monkeypatch):
+        if backend == "serial":
+            use_reference_engine(monkeypatch)
         g = random_simple_graph(120, 300, 21)
         stats = SwapStats()
-        out = swap_edges(g, 4, ParallelConfig(seed=13, backend=backend), stats=stats)
+        out = swap_edges(g, 4, ParallelConfig(seed=13), stats=stats)
         got = {f.name: getattr(stats, f.name) for f in fields(SwapStats)}
         assert got == {**SWAP_GOLDEN_SHARED, **SWAP_GOLDEN_BACKEND[backend]}
         digest = hashlib.sha256(out.u.tobytes() + out.v.tobytes()).hexdigest()[:16]

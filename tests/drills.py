@@ -7,6 +7,8 @@ functions.  Each wrapper replaces the attribute the library looks up at
 call time, so everything it does not replace runs unchanged.
 :func:`durable_run` is the resume drills' driver, shared by the driver
 processes and the in-process references they are compared with.
+:func:`use_reference_engine` swaps the swap chain's two kernels for
+their straight-line references the same way.
 """
 
 import os
@@ -14,12 +16,38 @@ import signal
 
 import numpy as np
 
+from repro.core import swap as swap_module
 from repro.core.checkpoint import CheckpointStore, _tmp_name
 from repro.core.generate import generate_graph
 from repro.core.swap import SwapStats, swap_edges
 from repro.graph.degree import DegreeDistribution
 from repro.graph.edgelist import EdgeList
+from repro.parallel.hashtable import ConcurrentEdgeHashTable
+from repro.parallel.permutation import fisher_yates_permutation, knuth_targets
 from repro.parallel.runtime import ParallelConfig
+
+
+def use_reference_engine(monkeypatch) -> None:
+    """Run the swap chain on its reference kernels until ``monkeypatch``
+    undoes the patches.
+
+    The permutation becomes the sequential Knuth shuffle over the same
+    targets ``H`` the reservation rounds would commit, and TestAndSet
+    the one-key-at-a-time loop.  Both are bitwise-identical to the
+    default kernels, so every swap output is too; only the table and
+    permutation-round counters, which the references do not keep, read
+    zero.
+    """
+
+    def knuth_shuffle(array, config, *, stats=None):
+        h = knuth_targets(len(array), config.generator())
+        if stats is not None:
+            stats.n = len(array)
+        return fisher_yates_permutation(array, targets=h)
+
+    monkeypatch.setattr(swap_module, "parallel_permutation", knuth_shuffle)
+    monkeypatch.setattr(ConcurrentEdgeHashTable, "test_and_set",
+                        ConcurrentEdgeHashTable.test_and_set_serial)
 
 
 def flip_bit(arr) -> None:
@@ -100,10 +128,10 @@ def tear_write_and_die(n: int) -> None:
     CheckpointStore._write_raw = write_half_then_die
 
 
-def durable_run(driver: str, backend: str, store=None):
-    """One resume-drill run: six swap passes on ``backend``, snapshotted
-    after every pass into ``store`` and resumed from it; without
-    ``store``, the uninterrupted reference.
+def durable_run(driver: str, store=None):
+    """One resume-drill run: six swap passes, snapshotted after every
+    pass into ``store`` and resumed from it; without ``store``, the
+    uninterrupted reference.
 
     ``driver`` is ``"swap"`` (``swap_edges`` on a random 360-edge
     multigraph, seed 42) or ``"generate"`` (``generate_graph`` on
@@ -116,7 +144,7 @@ def durable_run(driver: str, backend: str, store=None):
                        resume_from=store)
     if driver == "generate":
         dist = DegreeDistribution([1, 2, 3, 6], [400, 240, 100, 40])
-        cfg = ParallelConfig(seed=11, threads=2, backend=backend)
+        cfg = ParallelConfig(seed=11, threads=2)
         out, report = generate_graph(dist, swap_iterations=6, config=cfg,
                                      **durable)
         return out, report.swap_stats
@@ -128,6 +156,6 @@ def durable_run(driver: str, backend: str, store=None):
         n,
     )
     stats = SwapStats()
-    cfg = ParallelConfig(seed=42, threads=2, backend=backend)
+    cfg = ParallelConfig(seed=42, threads=2)
     out = swap_edges(graph, 6, cfg, stats=stats, **durable)
     return out, stats

@@ -78,11 +78,6 @@ class TestDerived:
     def test_class_offsets(self, small_dist):
         np.testing.assert_array_equal(small_dist.class_offsets(), [0, 6, 10, 12, 13])
 
-    def test_class_offsets_with_config(self, small_dist, cfg):
-        np.testing.assert_array_equal(
-            small_dist.class_offsets(cfg), small_dist.class_offsets()
-        )
-
     def test_class_of_degree(self, small_dist):
         np.testing.assert_array_equal(
             small_dist.class_of_degree(np.asarray([1, 6, 4, 2])), [0, 3, -1, 1]

@@ -9,6 +9,7 @@ from repro.graph.edgelist import EdgeList
 from repro.obs import MixingProbe, clustering_proxy, edge_overlap
 from repro.parallel.hashtable import pack_edges
 from repro.parallel.runtime import ParallelConfig
+from tests.drills import use_reference_engine
 
 
 def _ring(m=400, n=400):
@@ -112,19 +113,22 @@ class TestMixingProbe:
 
 
 class TestBackendInvariance:
-    """The acceptance bar: identical trajectories across both backends."""
+    """The acceptance bar: identical trajectories on the reference kernels
+    (:func:`tests.drills.use_reference_engine`) and the default ones."""
 
     @pytest.mark.parametrize("seed", [7, 19])
-    def test_swap_trajectory_bitwise_identical(self, seed):
+    def test_swap_trajectory_bitwise_identical(self, seed, monkeypatch):
         graph = _ring()
         trajectories = []
-        for backend in ("serial", "vectorized"):
+        for engine in ("serial", "vectorized"):
             stats = SwapStats()
-            swap_edges(
-                graph, 4,
-                ParallelConfig(threads=4, backend=backend, seed=seed),
-                stats=stats, mixing_every=2,
-            )
+            with monkeypatch.context() as mp:
+                if engine == "serial":
+                    use_reference_engine(mp)
+                swap_edges(
+                    graph, 4, ParallelConfig(threads=4, seed=seed),
+                    stats=stats, mixing_every=2,
+                )
             assert stats.mixing is not None
             trajectories.append(stats.mixing)
         ref = trajectories[0]

@@ -140,7 +140,7 @@ class TestGenerateIntegration:
             assert abs(span["dur"] - seconds) <= max(0.05 * seconds, 2e-3)
 
     def test_checkpoint_writes_traced(self, small_dist, tmp_path):
-        cfg = ParallelConfig(threads=2, backend="vectorized", seed=5)
+        cfg = ParallelConfig(threads=2, seed=5)
         with RunTrace() as tr:
             generate_graph(small_dist, swap_iterations=4, config=cfg,
                            checkpoint_dir=tmp_path, checkpoint_every=2)
@@ -170,7 +170,7 @@ class TestObserveCommand:
         for phase in ("probabilities", "edge_generation", "swap"):
             assert spans[f"phase:{phase}"]["parent"] == root["id"]
         assert {"swap.round", "metrics.snapshot"} <= events
-        assert root["attrs"]["backend"] == "vectorized"
+        assert "backend" not in root["attrs"]
 
 
 class TestAutotuneEvents:

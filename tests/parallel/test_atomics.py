@@ -10,9 +10,3 @@ class TestContentionStats:
 
     def test_failure_rate_empty(self):
         assert ContentionStats().failure_rate == 0.0
-
-    def test_merge(self):
-        a = ContentionStats(attempts=5, failures=1, rounds=2)
-        b = ContentionStats(attempts=3, failures=2, rounds=1)
-        a.merge(b)
-        assert (a.attempts, a.failures, a.rounds) == (8, 3, 3)

@@ -1,17 +1,18 @@
-"""Cross-backend differential harness for the swap engine.
+"""Differential harness: the swap engine against its reference kernels.
 
-Runs :func:`repro.core.swap.swap_edges` under both backends — the
-``serial`` one-key-at-a-time reference and the default ``vectorized``
-engine — over a matrix of graphs × null-model spaces × thread counts,
-and asserts:
+Runs :func:`repro.core.swap.swap_edges` on two engines — the default
+``vectorized`` kernels and the ``serial`` reference kernels that
+:func:`tests.drills.use_reference_engine` patches in (the sequential
+Knuth shuffle and one-key-at-a-time TestAndSet) — over a matrix of
+graphs × null-model spaces × thread counts, and asserts:
 
 - **identical degree sequences** (swaps preserve degrees exactly, so
-  every backend must return the input's degree sequence);
+  every engine must return the input's degree sequence);
 - **per-space simplicity invariants** (no loops / no multi-edges in the
   spaces that forbid them, defects never created in the others);
 - **exact output equality** — TestAndSet verdicts are pure set
   membership with first-occurrence semantics, which is schedule
-  independent, so for a fixed seed both backends must produce the
+  independent, so for a fixed seed both engines must produce the
   *same graph*, not merely statistically similar ones;
 - **statistically indistinguishable acceptance rates** across seeds (the
   weaker guarantee the paper's evaluation relies on, asserted separately
@@ -24,7 +25,10 @@ import pytest
 from repro.core.swap import SwapStats, swap_edges
 from repro.graph.edgelist import EdgeList
 from repro.parallel.hashtable import pack_edges
-from repro.parallel.runtime import BACKENDS, ParallelConfig
+from repro.parallel.runtime import ParallelConfig
+from tests.drills import use_reference_engine
+
+ENGINES = ("vectorized", "serial")
 
 SPACES = ("simple", "loopy", "multigraph", "loopy_multigraph")
 
@@ -58,34 +62,43 @@ def sorted_keys(g: EdgeList) -> np.ndarray:
     return np.sort(pack_edges(g.u, g.v))
 
 
+def swap_on(engine, monkeypatch, *args, **kwargs) -> EdgeList:
+    """``swap_edges(*args, **kwargs)`` on ``engine``."""
+    with monkeypatch.context() as mp:
+        if engine == "serial":
+            use_reference_engine(mp)
+        return swap_edges(*args, **kwargs)
+
+
 class TestBackendEquivalence:
     """serial ≡ vectorized over the invariant matrix."""
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     @pytest.mark.parametrize("space", SPACES)
     @pytest.mark.parametrize("threads", THREAD_MATRIX)
-    def test_outputs_identical(self, graph_name, space, threads):
+    def test_outputs_identical(self, graph_name, space, threads, monkeypatch):
         graph = GRAPHS[graph_name]
-        outputs = {}
-        for backend in BACKENDS:
-            config = ParallelConfig(threads=threads, backend=backend, seed=97)
-            outputs[backend] = swap_edges(graph, 3, config, space=space)
+        config = ParallelConfig(threads=threads, seed=97)
+        outputs = {
+            engine: swap_on(engine, monkeypatch, graph, 3, config, space=space)
+            for engine in ENGINES
+        }
         ref = outputs["vectorized"]
-        for backend, out in outputs.items():
+        for engine, out in outputs.items():
             np.testing.assert_array_equal(
-                out.u, ref.u, err_msg=f"{backend} diverged ({graph_name}/{space})"
+                out.u, ref.u, err_msg=f"{engine} diverged ({graph_name}/{space})"
             )
             np.testing.assert_array_equal(
-                out.v, ref.v, err_msg=f"{backend} diverged ({graph_name}/{space})"
+                out.v, ref.v, err_msg=f"{engine} diverged ({graph_name}/{space})"
             )
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     @pytest.mark.parametrize("space", SPACES)
-    def test_degrees_and_space_invariants(self, graph_name, space):
+    def test_degrees_and_space_invariants(self, graph_name, space, monkeypatch):
         graph = GRAPHS[graph_name]
-        for backend in BACKENDS:
-            config = ParallelConfig(threads=2, backend=backend, seed=5)
-            out = swap_edges(graph, 4, config, space=space)
+        config = ParallelConfig(threads=2, seed=5)
+        for engine in ENGINES:
+            out = swap_on(engine, monkeypatch, graph, 4, config, space=space)
             np.testing.assert_array_equal(
                 graph.degree_sequence(), out.degree_sequence()
             )
@@ -97,22 +110,21 @@ class TestBackendEquivalence:
             if space == "simple" and graph.is_simple():
                 assert out.is_simple()
 
-    def test_acceptance_rates_statistically_indistinguishable(self):
-        """Across seeds, mean acceptance per backend agrees closely."""
+    def test_acceptance_rates_statistically_indistinguishable(self, monkeypatch):
+        """Across seeds, mean acceptance per engine agrees closely."""
         graph = GRAPHS["simple"]
-        rates = {b: [] for b in BACKENDS}
+        rates = {e: [] for e in ENGINES}
         for seed in range(6):
-            for backend in BACKENDS:
+            for engine in ENGINES:
                 stats = SwapStats()
-                swap_edges(
-                    graph, 2,
-                    ParallelConfig(threads=2, backend=backend, seed=seed),
-                    stats=stats,
+                swap_on(
+                    engine, monkeypatch, graph, 2,
+                    ParallelConfig(threads=2, seed=seed), stats=stats,
                 )
-                rates[backend].append(stats.acceptance_rate)
-        means = {b: np.mean(r) for b, r in rates.items()}
-        for backend in BACKENDS:
-            assert abs(means[backend] - means["vectorized"]) < 0.02, means
+                rates[engine].append(stats.acceptance_rate)
+        means = {e: np.mean(r) for e, r in rates.items()}
+        for engine in ENGINES:
+            assert abs(means[engine] - means["vectorized"]) < 0.02, means
 
     def test_maintained_keys_match_repacked_registration(self, monkeypatch):
         """The swap chain's maintained key array (permuted alongside the
@@ -143,7 +155,7 @@ class TestBackendEquivalence:
         graph = GRAPHS["simple"]
         swap_edges(
             graph, 6,
-            ParallelConfig(threads=2, backend="vectorized", seed=41),
+            ParallelConfig(threads=2, seed=41),
             callback=lambda it, g: edges_at.setdefault(it, (g.u, g.v)),
         )
         registrations = []

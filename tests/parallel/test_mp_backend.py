@@ -15,7 +15,7 @@ def _iota_kernel(lo, hi, seed, offset):
 
 class TestProcessChunkMap:
     def test_vectorized_backend_runs_inline(self):
-        cfg = ParallelConfig(threads=4, backend="vectorized", seed=0)
+        cfg = ParallelConfig(threads=4, seed=0)
         chunks = chunk_map(_iota_kernel, 10, cfg, 5)
         np.testing.assert_array_equal(np.concatenate(chunks), np.arange(10) + 5)
 

@@ -51,12 +51,6 @@ class TestSequentialEquivalence:
             fisher_yates_permutation(arr, targets=h),
         )
 
-    def test_serial_backend_delegates(self):
-        h = knuth_targets(20, 3)
-        arr = np.arange(20)
-        out = parallel_permutation(arr, ParallelConfig(backend="serial"), targets=h)
-        np.testing.assert_array_equal(out, fisher_yates_permutation(arr, targets=h))
-
 
 class TestPermutationProperties:
     def test_is_permutation(self):

@@ -1,11 +1,9 @@
-"""Tests for parallel prefix sums."""
+"""Tests for the class-count prefix sums."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.parallel.prefix import blocked_prefix_sum, prefix_sum
-from repro.parallel.runtime import ParallelConfig
+from repro.parallel.prefix import prefix_sum
 
 
 class TestPrefixSum:
@@ -29,40 +27,3 @@ class TestPrefixSum:
         assert out.dtype == np.float64
         np.testing.assert_allclose(out, [0, 0.5, 0.75])
 
-
-class TestBlockedPrefixSum:
-    @pytest.mark.parametrize("threads", [1, 2, 3, 7, 16])
-    @pytest.mark.parametrize("n", [0, 1, 5, 64, 1000])
-    def test_matches_serial(self, threads, n):
-        values = np.arange(n, dtype=np.int64) % 7
-        cfg = ParallelConfig(threads=threads)
-        np.testing.assert_array_equal(
-            blocked_prefix_sum(values, cfg), prefix_sum(values)
-        )
-
-    def test_serial_backend(self):
-        values = np.asarray([2, 2, 2])
-        cfg = ParallelConfig(backend="serial")
-        np.testing.assert_array_equal(blocked_prefix_sum(values, cfg), [0, 2, 4, 6])
-
-    def test_inclusive_matches(self):
-        values = np.asarray([5, 1, 2, 9, 3])
-        cfg = ParallelConfig(threads=2)
-        np.testing.assert_array_equal(
-            blocked_prefix_sum(values, cfg, exclusive=False), np.cumsum(values)
-        )
-
-    @given(
-        st.lists(st.integers(0, 1000), max_size=200),
-        st.integers(1, 32),
-    )
-    def test_property_equals_cumsum(self, values, threads):
-        arr = np.asarray(values, dtype=np.int64)
-        out = blocked_prefix_sum(arr, ParallelConfig(threads=threads))
-        expect = np.zeros(len(arr) + 1, dtype=np.int64)
-        expect[1:] = np.cumsum(arr)
-        np.testing.assert_array_equal(out, expect)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            blocked_prefix_sum(np.zeros((2, 2)), ParallelConfig())

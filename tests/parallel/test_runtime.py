@@ -4,28 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.parallel.runtime import BACKENDS, ParallelConfig, chunk_bounds, chunk_views
+from repro.parallel.runtime import ParallelConfig, chunk_bounds
 
 
 class TestParallelConfig:
     def test_defaults(self):
         cfg = ParallelConfig()
         assert cfg.threads == 16
-        assert cfg.backend == "vectorized"
+        assert cfg.seed is None
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_valid_backends(self, backend):
-        assert ParallelConfig(backend=backend).backend == backend
-
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelConfig(backend="gpu")
-
-    def test_process_backend_removed(self):
-        assert BACKENDS == ("vectorized", "serial")
-        removed = "process"
-        with pytest.raises(ValueError, match="backend"):
-            ParallelConfig(backend=removed)
+    def test_backend_field_removed(self):
+        with pytest.raises(TypeError):
+            ParallelConfig(backend="serial")
 
     def test_fault_plan_field_removed(self):
         with pytest.raises(TypeError):
@@ -39,18 +29,10 @@ class TestParallelConfig:
         cfg = ParallelConfig(seed=5)
         np.testing.assert_array_equal(cfg.generator().random(4), cfg.generator().random(4))
 
-    def test_thread_generators_count(self):
-        assert len(ParallelConfig(threads=3, seed=1).thread_generators()) == 3
-
     def test_with_seed_copies(self):
         cfg = ParallelConfig(threads=2, seed=1)
         cfg2 = cfg.with_seed(9)
         assert cfg2.seed == 9 and cfg2.threads == 2 and cfg.seed == 1
-
-    def test_with_threads_copies(self):
-        cfg = ParallelConfig(threads=2, seed=1)
-        cfg2 = cfg.with_threads(8)
-        assert cfg2.threads == 8 and cfg2.seed == 1
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -89,15 +71,3 @@ class TestChunkBounds:
         # static schedule balance: sizes differ by at most one
         assert sizes.max() - sizes.min() <= 1
 
-
-class TestChunkViews:
-    def test_views_cover_array(self):
-        arr = np.arange(11)
-        parts = list(chunk_views(arr, 3))
-        np.testing.assert_array_equal(np.concatenate(parts), arr)
-
-    def test_views_are_views(self):
-        arr = np.arange(6)
-        first = next(chunk_views(arr, 2))
-        first[0] = 99
-        assert arr[0] == 99

@@ -57,14 +57,14 @@ class TestTableDrill:
     def test_vectorized_flip_raises_typed(self, monkeypatch):
         """Full tier catches a flipped table slot before it can shift verdicts."""
         g = _ring()
-        cfg = ParallelConfig(seed=5, backend="vectorized", verify="full")
+        cfg = ParallelConfig(seed=5, verify="full")
         _flip_table(monkeypatch)
         with pytest.raises(GraphIntegrityError):
             swap_edges(g, 3, cfg)
 
     def test_flip_repaired_via_checkpoint_replay(self, tmp_path, monkeypatch):
         """With a checkpoint store, generate retries from the last snapshot."""
-        kw = dict(seed=5, backend="vectorized", threads=2)
+        kw = dict(seed=5, threads=2)
         expect, _ = generate_graph(
             DIST, swap_iterations=3, config=ParallelConfig(**kw)
         )
@@ -85,7 +85,7 @@ class TestSpillDrill:
     def test_flip_raises_typed_without_checkpoints(self, monkeypatch):
         g = _ring(200)
         cfg = ParallelConfig(
-            seed=5, backend="vectorized", verify="cheap",
+            seed=5, verify="cheap",
             memory_budget_bytes=self.BUDGET,
         )
         _flip_spill(monkeypatch)
@@ -94,7 +94,7 @@ class TestSpillDrill:
 
     def test_flip_repaired_via_checkpoint_replay(self, tmp_path, monkeypatch):
         """With a checkpoint store, generate retries from the last snapshot."""
-        kw = dict(seed=5, backend="vectorized", memory_budget_bytes=self.BUDGET)
+        kw = dict(seed=5, memory_budget_bytes=self.BUDGET)
         expect, _ = generate_graph(
             DIST, swap_iterations=4, config=ParallelConfig(**kw)
         )
@@ -112,7 +112,7 @@ class TestSpillDrill:
 class TestCheckpointDrill:
     def test_corrupt_snapshot_skipped_with_warning(self, tmp_path, caplog):
         """Resume falls back past a flipped snapshot to an older valid one."""
-        kw = dict(seed=7, backend="vectorized", threads=2)
+        kw = dict(seed=7, threads=2)
         expect, _ = generate_graph(
             DIST, swap_iterations=4, config=ParallelConfig(**kw)
         )

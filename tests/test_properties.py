@@ -4,7 +4,7 @@ Composite hypothesis strategies generate arbitrary graphical
 distributions (by sampling a random simple graph and harvesting its
 degrees — graphicality for free), then assert the invariants that must
 hold across the *whole* library surface: every generator, every swap
-space, every backend, every persistence format.
+space, every persistence format.
 """
 
 import numpy as np

