@@ -55,8 +55,10 @@ def generation_fingerprint(
     exactly when an uninterrupted run would produce bitwise-identical
     output for both.
 
-    Raises ``ValueError`` for ``config.seed=None``: such a run draws
-    fresh entropy, so no other run reproduces it.
+    Raises ``ValueError`` for ``config.seed=None`` or a
+    ``numpy.random.Generator`` seed: the first draws fresh entropy and
+    the second a stream that every call advances, so no other run
+    reproduces either.
     """
     _require_seed(config)
     if probabilities is None:
@@ -76,12 +78,18 @@ def generation_fingerprint(
 
 
 def _require_seed(config: ParallelConfig) -> None:
-    """Refuse an unseeded run where its output must be reproducible."""
+    """Refuse a run no other run reproduces where its output must be."""
     if config.seed is None:
         raise ValueError(
             "an unseeded generate_graph run has no fingerprint: with "
             "seed=None every call draws fresh entropy, so no other run, "
             "a resume included, reproduces it"
+        )
+    if isinstance(config.seed, np.random.Generator):
+        raise ValueError(
+            "a generate_graph run seeded with a Generator has no "
+            "fingerprint: every call advances its stream, so no other "
+            "run, a resume included, reproduces it"
         )
 
 

@@ -249,8 +249,11 @@ def _swap_fingerprint(graph, iterations, config, space, probing) -> str:
     Hashes the input edge list plus every parameter that pins the output
     bits (seed, iteration budget, space, probing) — and nothing that
     doesn't (the logical thread count), so a checkpoint taken at one
-    thread count resumes at another.
+    thread count resumes at another.  A ``numpy.random.Generator`` seed
+    is hashed as ``None`` is, not by its repr (a memory address): the
+    snapshot carries the stream state either way.
     """
+    seed = None if isinstance(config.seed, np.random.Generator) else config.seed
     h = hashlib.sha256()
     h.update(np.int64(graph.n).tobytes())
     h.update(np.ascontiguousarray(graph.u).tobytes())
@@ -260,7 +263,7 @@ def _swap_fingerprint(graph, iterations, config, space, probing) -> str:
         edges_sha256=h.hexdigest(),
         m=int(graph.m),
         iterations=int(iterations),
-        seed=repr(config.seed),
+        seed=repr(seed),
         space=space,
         probing=probing,
     )
@@ -501,16 +504,6 @@ def swap_edges(
     else:
         u_src, v_src, swapped_src = graph.u, graph.v, None
     run_store, window = _open_swap_store(config, m)
-    if run_store is not None:
-        u, v, swapped = _store_working_arrays(
-            run_store, window, u_src, v_src, swapped_src, m
-        )
-    else:
-        u = u_src.copy()
-        v = v_src.copy()
-        swapped = (
-            np.zeros(m, dtype=bool) if swapped_src is None else swapped_src.copy()
-        )
     n_pairs = m // 2
     start_it = 0
     # with checkpointing active, run against a run-local SwapStats so
@@ -526,7 +519,7 @@ def swap_edges(
     table = ConcurrentEdgeHashTable(2 * m + 16, probing=probing)
     with _maybe_span("swap:chain", iterations=iterations, m=m):
         u, v = _swap_loop(
-            u, v, swapped, iterations, m, n_pairs, rng, config, table,
+            u_src, v_src, swapped_src, iterations, m, n_pairs, rng, config, table,
             check_duplicates, check_loops, loop_stats, cost, callback, graph.n,
             start_iteration=start_it, checkpointer=ckpt,
             store=run_store, window=window, target_degrees=target_degrees,
@@ -543,7 +536,7 @@ def swap_edges(
 
 
 def _swap_loop(
-    u, v, swapped, iterations, m, n_pairs, rng, config, table,
+    u_src, v_src, swapped_src, iterations, m, n_pairs, rng, config, table,
     check_duplicates, check_loops, stats, cost, callback, n_vertices,
     *,
     start_iteration: int = 0,
@@ -555,8 +548,11 @@ def _swap_loop(
     """The per-iteration body of :func:`swap_edges`.
 
     ``start_iteration > 0`` re-enters the loop mid-chain from restored
-    checkpoint state; the first resumed iteration always clears and
-    re-registers, which reconstructs the hash table exactly.
+    checkpoint state (``u_src``, ``v_src`` and ``swapped_src``; the
+    last is ``None`` on a fresh run); the first resumed iteration always
+    clears and re-registers, which reconstructs the hash table exactly.
+    The loop owns its working arrays: it copies them from the sources,
+    and the first round's gathers replace the copies.
 
     The registration keys are *maintained*, not recomputed: ``keys``
     holds ``pack_edges(u, v)`` from its first use onward, permuted
@@ -573,8 +569,11 @@ def _swap_loop(
     produced ``order`` is untouched, so windowed rounds are
     bitwise-identical to in-RAM rounds.  The proposal phase stays
     whole-batch — its TestAndSet ordering (all g keys, then the
-    surviving h keys) is what pins the verdict stream — so its O(m/2)
-    temporaries are a transient RAM cost per iteration, by design.
+    surviving h keys) is what pins the verdict stream.  Each round holds
+    one live copy of each array: the permutation ``order`` is dropped
+    after the gathers, and the O(m/2) proposal arrays at the end of
+    their round, so neither lives under the next round's registration
+    and permutation.
     """
     windowed = store is not None
     pong: dict[str, np.ndarray] = {}  # spare twin per array name
@@ -587,11 +586,20 @@ def _swap_loop(
     clean_loops = False
     clean_dups = False
     if tier != "off" and m:
-        clean_loops = check_loops and not bool((u == v).any())
+        clean_loops = check_loops and not bool((u_src == v_src).any())
         if tier == "full" and check_duplicates:
-            k0 = np.sort(pack_edges(u, v))
+            k0 = np.sort(pack_edges(u_src, v_src))
             clean_dups = not bool((k0[1:] == k0[:-1]).any())
             del k0
+    if windowed:
+        u, v, swapped = _store_working_arrays(
+            store, window, u_src, v_src, swapped_src, m
+        )
+    else:
+        u, v = u_src.copy(), v_src.copy()
+        swapped = (
+            np.zeros(m, dtype=bool) if swapped_src is None else swapped_src.copy()
+        )
     guard = None
     guard_sealed = False
     if windowed and tier != "off":
@@ -657,6 +665,7 @@ def _swap_loop(
         swapped = _permuted("swapped", swapped, order)
         if keys is not None:
             keys = _permuted("keys", keys, order)
+        del order
         perm_seconds = time.perf_counter() - t_perm
 
         # Phase 3: propose swaps on adjacent pairs.
@@ -685,6 +694,7 @@ def _swap_loop(
                     h_present[h_try] = table.test_and_set(
                         pack_edges(hu[h_try], hv[h_try])
                     )
+                del h_try
             else:
                 g_present = np.zeros(n_pairs, dtype=bool)
                 h_present = np.zeros(n_pairs, dtype=bool)
@@ -719,6 +729,12 @@ def _swap_loop(
                     loops = np.zeros(n_pairs, dtype=bool)
                 stats.rejected_self_loop += int(loops.sum())
                 stats.rejected_duplicate += int((rej & ~loops).sum())
+                del rej, loops
+            # the round's O(m/2) arrays die with it, not under the next
+            # round's registration and permutation (the views would keep
+            # this round's u and v alive through the next round's gathers)
+            del eu, ev, fu, fv, coin, gu, gv, hu, hv, gk
+            del loop_g, loop_h, g_present, h_present, ok, idx
 
         if stats is not None:
             stats.iterations += 1

@@ -16,10 +16,12 @@ This reproduces the table the paper adapts from Slota et al. [33]:
 The vectorized engine executes exactly that protocol round-by-round over a
 batch of keys: every unresolved key probes its current slot, keys that see
 their own value report "present", keys that see an empty slot CAS-claim it
-(ties resolved deterministically, lowest batch index first, by a
-scatter-min into a slot-domain scratch array; losers re-read the slot next
-round, exactly like a failed CAS), and keys that see a different key
-advance their probe sequence.  Contention statistics are accumulated so
+in the slot itself (each claimant scatter-mins a claim marker, which sorts
+below every key and ``EMPTY_KEY``, into the empty slot; the lowest batch
+index wins, writes its key over the marker, and the losers re-read the
+slot next round, exactly like a failed CAS), and keys that see a different
+key advance their probe sequence.  The table is one slot array, and no
+marker outlives its round.  Contention statistics are accumulated so
 experiments can verify the paper's claim that collisions are rare.
 """
 
@@ -40,6 +42,11 @@ __all__ = [
 EMPTY_KEY = np.int64(-1)
 
 _MAX_VERTEX = np.int64(2**32 - 1)
+
+#: Offset of a CAS claim marker: the claimant at compacted position ``p``
+#: writes ``p + _CLAIM`` into the empty slot it saw, below ``EMPTY_KEY``
+#: and every packed key.
+_CLAIM = np.int64(-(2**62))
 
 
 def pack_edges(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -69,13 +76,18 @@ def unpack_edges(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _splitmix64(keys: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer — the fast, well-mixing integer hash."""
+    """SplitMix64 finalizer — the fast, well-mixing integer hash.
+
+    Mixes a copy of ``keys`` in place, through one shift buffer.
+    """
     z = keys.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
+    t = np.empty_like(z)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -105,9 +117,6 @@ class ConcurrentEdgeHashTable:
             n_slots *= 2
         self._mask = n_slots - 1
         self._slots = np.full(n_slots, EMPTY_KEY, dtype=np.int64)
-        # scratch array for CAS-winner resolution by scatter-min: one slot
-        # of state per table slot, reset (touched entries only) per round
-        self._claim_scratch = np.full(n_slots, np.iinfo(np.int64).max, dtype=np.int64)
         self.size = 0
         self.stats = ContentionStats()
         self.max_probe = 0
@@ -161,13 +170,12 @@ class ConcurrentEdgeHashTable:
             return present
 
         # The unresolved keys stay compacted in batch order as four arrays:
-        # key, current slot, probe count and batch position.
+        # key, current slot, probe count and batch position.  Round 0 holds
+        # the whole batch, in batch order, at probe 0, so the last two are
+        # allocated only for the keys that survive it.
         key = keys
         slot = self._home_slots(keys)
-        probe = np.zeros(n, dtype=np.int64)
-        pos = np.arange(n)
-        scratch = self._claim_scratch
-        unclaimed = np.iinfo(np.int64).max
+        probe = pos = None
 
         max_rounds = 2 * self.n_slots + 4
         for _ in range(max_rounds):
@@ -180,28 +188,28 @@ class ConcurrentEdgeHashTable:
             del existing
 
             # already present: resolve as "true"
-            present[pos[is_mine]] = True
+            present[is_mine if pos is None else pos[is_mine]] = True
             keep = ~is_mine
 
-            # empty slot: CAS claim; deterministic lowest-index winner,
-            # resolved by scatter-min of compacted positions into the
-            # slot-domain scratch array — compaction keeps batch order, so
-            # the lowest position is the lowest batch index
+            # empty slot: CAS claim in the slot itself.  Each claimant
+            # scatter-mins its marker (compacted position + _CLAIM) into
+            # the slot and wins iff its own marker reads back; compaction
+            # keeps batch order, so the lowest position is the lowest
+            # batch index.  Every claimed slot has exactly one winner,
+            # whose key overwrites the marker, so no marker survives
             claim = np.flatnonzero(is_empty)
             if len(claim):
                 claim_slots = slot[claim]
-                np.minimum.at(scratch, claim_slots, claim)
-                won = np.flatnonzero(scratch[claim_slots] == claim)
+                claim += _CLAIM
+                np.minimum.at(self._slots, claim_slots, claim)
+                won = self._slots[claim_slots] == claim
+                claim -= _CLAIM
                 self.stats.attempts += len(claim)
-                self.stats.failures += len(claim) - len(won)
-                self.stats.rounds += 1
-                # keep the winners and their slots; each claimed slot has
-                # exactly one winner, so resetting the winners' slots resets
-                # every scratch entry the scatter-min touched
                 claim = claim[won]
                 claim_slots = claim_slots[won]
+                self.stats.failures += len(won) - len(claim)
+                self.stats.rounds += 1
                 del won
-                scratch[claim_slots] = unclaimed
                 self._slots[claim_slots] = key[claim]
                 self.size += len(claim)
                 # losers re-read the same slot next round (failed CAS)
@@ -211,7 +219,11 @@ class ConcurrentEdgeHashTable:
             # advance their probe sequence
             idx = np.flatnonzero(keep)
             moved = ~is_empty[idx]
-            key, slot, probe, pos = key[idx], slot[idx], probe[idx], pos[idx]
+            key, slot = key[idx], slot[idx]
+            if pos is None:
+                pos, probe = idx, np.zeros(len(idx), dtype=np.int64)
+            else:
+                probe, pos = probe[idx], pos[idx]
             self._advance(slot, probe, moved)
             if len(probe):
                 self.max_probe = max(self.max_probe, int(probe.max()))

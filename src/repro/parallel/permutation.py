@@ -53,12 +53,21 @@ class PermutationStats:
 
 
 def knuth_targets(n: int, rng) -> np.ndarray:
-    """Draw the Fisher–Yates swap targets ``H[i] ∈ [i, n)``."""
+    """Draw the Fisher–Yates swap targets ``H[i] ∈ [i, n)``.
+
+    ``H[i] = i + trunc(U[i] * (n - i))``, built in place.  Every
+    ``n - i`` is exact in float64, so the products are the ones an int64
+    factor would be promoted to, bit for bit.
+    """
     rng = generator_from_seed(rng)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    i = np.arange(n, dtype=np.int64)
-    return i + (rng.random(n) * (n - i)).astype(np.int64)
+    u = rng.random(n)
+    u *= np.arange(n, 0, -1, dtype=np.float64)
+    h = u.astype(np.int64)
+    del u
+    h += np.arange(n, dtype=np.int64)
+    return h
 
 
 def fisher_yates_permutation(

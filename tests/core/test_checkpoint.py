@@ -7,8 +7,8 @@ The durability tentpole's invariants:
   and, for ``swap_edges``, on the reference kernels
   (:func:`tests.drills.use_reference_engine`) or across them;
 - a resume is refused when the fingerprints differ: another seed, swap
-  budget or probabilities; ``generate_graph`` refuses an unseeded
-  durable run outright;
+  budget or probabilities; ``generate_graph`` refuses an unseeded or
+  Generator-seeded durable run outright;
 - checkpoint writes are atomic: a snapshot truncated at any byte is
   detected by its checksum and the previous snapshot is used instead;
 - the parent-SIGKILL drill (a driver subprocess that wraps
@@ -41,7 +41,13 @@ from repro.core.checkpoint import (
 )
 from repro.core.generate import generate_graph, generation_fingerprint
 from repro.core.probabilities import generate_probabilities
-from repro.core.swap import SwapStats, _stats_from_meta, _stats_to_meta, swap_edges
+from repro.core.swap import (
+    SwapStats,
+    _stats_from_meta,
+    _stats_to_meta,
+    _swap_fingerprint,
+    swap_edges,
+)
 from repro.graph.degree import DegreeDistribution, NonGraphicalError
 from repro.graph.edgelist import EdgeList
 from repro.parallel.runtime import ParallelConfig
@@ -218,10 +224,28 @@ class TestRunFingerprint:
             dist, 3, cfg, generate_probabilities(dist)) == base
 
     def test_generation_fingerprint_refuses_unseeded(self):
-        """An unseeded run draws fresh entropy: no fingerprint names it."""
+        """An unseeded run draws fresh entropy, and a Generator seed a
+        stream that every call advances (its repr is a memory address):
+        no fingerprint names either run."""
+        dist = DegreeDistribution((1, 2), (4, 2))
         with pytest.raises(ValueError, match="seed"):
+            generation_fingerprint(dist, 3, ParallelConfig())
+        with pytest.raises(ValueError, match="Generator"):
             generation_fingerprint(
-                DegreeDistribution((1, 2), (4, 2)), 3, ParallelConfig())
+                dist, 3, ParallelConfig(seed=np.random.default_rng(11)))
+
+    def test_swap_fingerprint_ignores_generator_identity(self):
+        """Two live generators in the same state fingerprint alike, as
+        unseeded runs do: a snapshot carries the stream state."""
+        g = _graph(seed=2)
+        # both stay alive, so the second cannot reuse the first's address
+        a, b = (ParallelConfig(seed=np.random.default_rng(5)) for _ in range(2))
+        fp_a, fp_b, fp_none, fp_int = (
+            _swap_fingerprint(g, 4, cfg, "simple", "linear")
+            for cfg in (a, b, ParallelConfig(), ParallelConfig(seed=5))
+        )
+        assert fp_a == fp_b == fp_none
+        assert fp_a != fp_int
 
     def test_equal_generation_fingerprints_mean_equal_graphs(self):
         """Over two seeds, two thread counts and two probability
@@ -318,6 +342,22 @@ class TestSwapResume:
         res = swap_edges(g, 6, cfg, resume_from=tmp_path)
         np.testing.assert_array_equal(res.u, full.u)
         np.testing.assert_array_equal(res.v, full.v)
+
+    def test_generator_seeded_run_resumes(self, tmp_path):
+        """A chain seeded with one live ``default_rng(5)`` resumes under
+        another, bit for bit: the snapshot restores the stream state."""
+        g = _graph(seed=6)
+        # all three stay alive, so no generator reuses another's address
+        ref_cfg, take_cfg, resume_cfg = (
+            ParallelConfig(seed=np.random.default_rng(5), threads=2)
+            for _ in range(3)
+        )
+        ref = swap_edges(g, 6, ref_cfg)
+        swap_edges(g, 6, take_cfg, checkpoint_dir=tmp_path, checkpoint_every=1)
+        _drop_newest(tmp_path, 2)
+        res = swap_edges(g, 6, resume_cfg, resume_from=tmp_path)
+        np.testing.assert_array_equal(res.u, ref.u)
+        np.testing.assert_array_equal(res.v, ref.v)
 
     def test_resume_from_every_retained_round(self, tmp_path):
         g = _graph(seed=5)
@@ -554,21 +594,23 @@ class TestGenerateResume:
 
     def test_unseeded_durable_run_refused(self, tmp_path, small_dist,
                                           monkeypatch):
-        """An unseeded run would redraw its edges from fresh entropy on
-        resume: refused before any phase runs."""
+        """An unseeded or Generator-seeded run would redraw its edges on
+        resume, from fresh entropy or from an advanced stream: refused
+        before any phase runs."""
 
         def no_phase(*args, **kwargs):
             raise AssertionError("a phase ran")
 
         monkeypatch.setattr(
             "repro.core.generate.generate_probabilities", no_phase)
-        cfg = ParallelConfig(threads=2)
-        with pytest.raises(ValueError, match="seed"):
-            generate_graph(small_dist, swap_iterations=1, config=cfg,
-                           checkpoint_dir=tmp_path, checkpoint_every=1)
-        with pytest.raises(ValueError, match="seed"):
-            generate_graph(small_dist, swap_iterations=1, config=cfg,
-                           resume_from=tmp_path)
+        for cfg in (ParallelConfig(threads=2),
+                    ParallelConfig(seed=np.random.default_rng(11), threads=2)):
+            with pytest.raises(ValueError, match="seed"):
+                generate_graph(small_dist, swap_iterations=1, config=cfg,
+                               checkpoint_dir=tmp_path, checkpoint_every=1)
+            with pytest.raises(ValueError, match="seed"):
+                generate_graph(small_dist, swap_iterations=1, config=cfg,
+                               resume_from=tmp_path)
         assert os.listdir(tmp_path) == []
 
     def test_resumed_mixing_samples_match_uninterrupted(self, tmp_path):

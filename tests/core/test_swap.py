@@ -1,14 +1,18 @@
 """Tests for parallel double-edge swaps (Algorithm III.1)."""
 
 import hashlib
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.scale import scale_dataset
 from repro.core.swap import SwapStats, serial_swap_chain, swap_edges
+from repro.generators.havel_hakimi import havel_hakimi_graph
 from repro.graph.edgelist import EdgeList
+from repro.parallel.hashtable import ConcurrentEdgeHashTable
 from repro.parallel.runtime import ParallelConfig
 from tests.drills import use_reference_engine
 
@@ -423,3 +427,23 @@ class TestSwapStatsGolden:
         assert got == {**SWAP_GOLDEN_SHARED, **SWAP_GOLDEN_BACKEND[backend]}
         digest = hashlib.sha256(out.u.tobytes() + out.v.tobytes()).hexdigest()[:16]
         assert digest == SWAP_GOLDEN_DIGEST
+
+
+class TestMemory:
+    def test_three_pass_traced_peak(self):
+        """A swap round holds one live copy of each array it needs: the
+        traced peak of a 3-pass chain (10.4 MB here, at the permutation)
+        stays below the table's slot array plus 100 bytes per edge
+        (12.05 MB).  A claim scratch as large as the slots (19.1 MB), or
+        one round's proposal arrays alive under the next round's
+        permutation (12.5 MB), breaks the bound."""
+        g = havel_hakimi_graph(scale_dataset(65_000, seed=101))
+        m = g.m
+        n_slots = ConcurrentEdgeHashTable(2 * m + 16).n_slots
+        tracemalloc.start()
+        try:
+            swap_edges(g, 3, ParallelConfig(seed=101))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_slots + 100 * m
