@@ -69,7 +69,6 @@ EXPERIMENTS = {
     "lfr": experiments.lfr_experiment,
     "directed": experiments.directed_experiment,
     "corrections": experiments.corrections_experiment,
-    "distributed": experiments.distributed_experiment,
     "mixing": experiments.mixing_experiment,
     "observe": experiments.observe,
     "durable": experiments.durable,

@@ -58,7 +58,6 @@ __all__ = [
     "lfr_experiment",
     "directed_experiment",
     "corrections_experiment",
-    "distributed_experiment",
     "mixing_experiment",
     "observe",
     "durable",
@@ -541,36 +540,6 @@ def corrections_experiment(
         ("ours (heuristic)", generate_probabilities(dist).P),
     ):
         result.add(name, degree_err(P), l1_probability_error(P, base))
-    return result
-
-
-def distributed_experiment(
-    dataset: str = "LiveJournal",
-    *,
-    ranks: tuple = (1, 4, 16),
-    iterations: int = 1,
-    seed: int = 12,
-    scale: float = 0.002,
-) -> ExperimentResult:
-    """Extension: §VIII-C distributed vs shared-memory comparison."""
-    from repro.distributed import distributed_swap_edges
-    from repro.generators.havel_hakimi import havel_hakimi_graph
-
-    dist = SPECS[dataset].synthesize(scale)
-    graph = havel_hakimi_graph(dist)
-    result = ExperimentResult(
-        name="distributed",
-        description=f"distributed swap cost vs ranks ({dataset} twin, m={dist.m})",
-        columns=["ranks", "acceptance", "messages", "items_per_edge", "modeled_seconds"],
-    )
-    for r in ranks:
-        _, rep = distributed_swap_edges(
-            graph, iterations, int(r), ParallelConfig(seed=seed)
-        )
-        result.add(
-            int(r), rep.acceptance_rate, rep.comm.messages,
-            rep.items_per_edge_per_iteration, rep.simulated_seconds,
-        )
     return result
 
 

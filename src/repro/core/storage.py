@@ -2,14 +2,17 @@
 
 The swap phase (Algorithm III.1) is the one step that keeps m-sized
 arrays alive across passes: edge endpoints, packed table keys and the
-swapped-at-least-once flags.  In RAM they silently cap the reproduction
-at graphs that fit in memory.  When
+swapped-at-least-once flags.  When
 :attr:`~repro.parallel.runtime.ParallelConfig.memory_budget_bytes` is
 positive and below :func:`swap_working_set_bytes`, ``swap_edges`` puts
 them in an :class:`MmapStore` instead: arrays mapped over *spill files*
-with ``np.memmap``, so the OS pages windows of the working set in and
-out and the resident footprint is bounded by the touched window, not
-the graph size.  :func:`spill_window` is that decision.
+with ``np.memmap``.  :func:`spill_window` is that decision.  Only those
+arrays and their ping-pong twins move: the hash table (8 bytes × the
+power of two ≥ 2·(2m + 16) slots), the permutation's working set and
+each round's O(m/2) proposal arrays stay in private memory, so a
+spilled run's memory still grows linearly in m.  Spilling lowers the
+private memory a run needs by 18–23% (``RLIMIT_DATA`` bisection,
+docs/scale.md).
 
 Spilling only changes *where* array bytes live, never what they hold: a
 spilled run is bitwise-identical to its in-RAM twin for the same seed

@@ -143,11 +143,6 @@ class TestExtensionExperiments:
         assert rows["corrected CL"][1] < rows["naive CL"][1]  # degrees fixed
         assert rows["corrected CL"][2] > 0.05  # bias remains
 
-    def test_distributed(self):
-        r = experiments.distributed_experiment(ranks=(1, 4), scale=0.001)
-        msgs = [row[2] for row in r.rows]
-        assert msgs[1] > msgs[0]
-
     def test_mixing(self):
         r = experiments.mixing_experiment(scale=0.3)
         metrics = dict(r.rows)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import DegreeDistribution, ParallelConfig, generate_graph
+from repro.core.swap import _COUNTED_FIELDS, SwapStats, swap_edges
+from repro.generators.havel_hakimi import havel_hakimi_graph
 from repro.verify import (
     VERIFY_TIERS,
     ChecksumError,
@@ -148,3 +151,42 @@ class TestObsIntegration:
             names = [e["name"] for e in tr.events()]
             assert "verify:violation" in names
             assert tr.metrics.counters.get("integrity.violations", 0) == 1
+
+
+DIST = DegreeDistribution([1, 2, 3, 6], [4000, 2400, 1000, 400])
+
+
+def _generated(verify, budget):
+    out, _ = generate_graph(
+        DIST, swap_iterations=4,
+        config=ParallelConfig(seed=11, threads=4, verify=verify,
+                              memory_budget_bytes=budget),
+    )
+    return out, {}
+
+
+def _swapped(verify, budget):
+    stats = SwapStats()
+    out = swap_edges(
+        havel_hakimi_graph(DIST), 3,
+        ParallelConfig(seed=11, threads=4, verify=verify,
+                       memory_budget_bytes=budget),
+        stats=stats,
+    )
+    return out, {name: getattr(stats, name) for name in _COUNTED_FIELDS}
+
+
+@pytest.mark.parametrize("run", [_generated, _swapped],
+                         ids=["generate_graph", "swap_edges"])
+def test_verification_never_changes_the_bits(run):
+    """A clean run's edges and counters are the same under every tier,
+    with the swap arrays in RAM and spilled."""
+    want, want_counts = run("off", 0)
+    for verify in VERIFY_TIERS:
+        for budget in (0, 1):
+            if (verify, budget) == ("off", 0):
+                continue
+            got, counts = run(verify, budget)
+            assert got.u.tobytes() == want.u.tobytes(), (verify, budget)
+            assert got.v.tobytes() == want.v.tobytes(), (verify, budget)
+            assert counts == want_counts, (verify, budget)

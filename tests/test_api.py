@@ -1,5 +1,6 @@
 """Public API surface and documentation-example tests."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -81,7 +82,10 @@ def test_no_module_imports_an_event_loop_or_thread_pool():
 
     from repro.bench.cli import main
 
+    # the serving broker and the simulated distributed switcher are gone
     assert main(["serve"]) == 2
+    assert main(["distributed"]) == 2
+    assert importlib.util.find_spec("repro.distributed") is None
 
 
 class TestExampleScripts:

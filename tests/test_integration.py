@@ -122,30 +122,3 @@ class TestDirectedInterop:
         und = EdgeList(dg.u, dg.v, dg.n).simplify()
         assert und.is_simple()
         assert und.m <= dg.m
-
-
-class TestDistributedInterop:
-    def test_distributed_output_equivalent_for_mixing(self):
-        """Distributed and shared-memory swaps land in the same space —
-        attachment matrices agree within sampling noise."""
-        from repro.distributed import distributed_swap_edges
-        from repro.core.mixing import l1_probability_error
-        from repro.graph.stats import attachment_probability_matrix
-        from repro.generators.havel_hakimi import havel_hakimi_graph
-
-        dist = load("Meso")
-        g = havel_hakimi_graph(dist)
-        cfg = ParallelConfig(seed=9)
-
-        def avg_matrix(fn, samples=4):
-            acc = np.zeros((dist.n_classes, dist.n_classes))
-            for s in range(samples):
-                acc += attachment_probability_matrix(fn(s), dist)
-            return acc / samples
-
-        shared = avg_matrix(lambda s: swap_edges(g, 6, cfg.with_seed(s)))
-        distributed = avg_matrix(
-            lambda s: distributed_swap_edges(g, 6, 4, cfg.with_seed(s))[0]
-        )
-        # compare both against each other: same stationary behaviour
-        assert l1_probability_error(distributed, shared) < 0.5

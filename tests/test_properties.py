@@ -85,20 +85,6 @@ class TestSwapProperties:
     def test_simple_space_stays_simple(self, graph, seed):
         assert swap_edges(graph, 3, ParallelConfig(seed=seed)).is_simple()
 
-    @given(simple_graphs(), st.integers(1, 8), st.integers(0, 2**31))
-    @settings(max_examples=15, deadline=None)
-    def test_distributed_agrees_on_invariants(self, graph, ranks, seed):
-        from repro.distributed import distributed_swap_edges
-
-        out, report = distributed_swap_edges(
-            graph, 2, ranks, ParallelConfig(seed=seed)
-        )
-        assert out.is_simple()
-        assert out.m == graph.m
-        np.testing.assert_array_equal(
-            np.sort(out.degree_sequence()), np.sort(graph.degree_sequence())
-        )
-
 
 class TestPersistenceProperties:
     @given(simple_graphs(), st.sampled_from(["txt", "npz", "metis"]))
